@@ -159,7 +159,7 @@ void BM_GemmPool(benchmark::State& state) {
   for (auto _ : state) run_resnet_gemm_stack(stack.as, stack.bs);
   state.SetItemsProcessed(state.iterations() * stack.flops());
 }
-BENCHMARK(BM_GemmPool)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmPool)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Batched LP quantization of a 1M-element tensor; Arg is the pool-size
 /// override (1 = serial baseline, 0 = automatic).
@@ -177,7 +177,7 @@ void BM_QuantizeBatchPool(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
   set_default_pool_threads(0);
 }
-BENCHMARK(BM_QuantizeBatchPool)->Arg(1)->Arg(0);
+BENCHMARK(BM_QuantizeBatchPool)->Arg(1)->Arg(0)->UseRealTime();
 
 /// Full LPQ search on the tiny CNN; Arg is the pool size for BOTH the
 /// candidate loop (LpqParams::threads) and the nested tensor ops (default
@@ -209,7 +209,53 @@ void BM_LpqEvalPool(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * params.population);
   set_default_pool_threads(0);
 }
-BENCHMARK(BM_LpqEvalPool)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LpqEvalPool)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// Both-coded conv with the fused relu + encode epilogue (the coded
+/// serving path's conv) on the default pool: Arg 0 is a 16->16 3x3
+/// stage-1 conv at 32x32, batch 32 (many column panels: column tiles);
+/// Arg 1 a 128->128 3x3 stage-4 conv at 4x4, batch 1 (one panel: row
+/// tiles).  Wall-clock time, since the work runs on pool threads; items
+/// are MACs.
+void BM_ConvCodesCodes(benchmark::State& state) {
+  struct Shape {
+    std::int64_t batch, c, hw;
+  };
+  constexpr Shape kShapes[] = {{32, 16, 32}, {1, 128, 4}};
+  const Shape sh = kShapes[state.range(0)];
+  const LPFormat wf(LPConfig{8, 1, 4, 0.0});
+  const LPFormat af(LPConfig{8, 2, 4, 0.0});
+  const auto wlut = build_decode_table(wf);
+  const auto alut = build_decode_table(af);
+  Rng rng(8);
+  std::vector<float> x(
+      static_cast<std::size_t>(sh.batch * sh.c * sh.hw * sh.hw));
+  std::vector<float> w(static_cast<std::size_t>(sh.c * sh.c * 9));
+  for (auto& v : x) v = static_cast<float>(rng.gaussian());
+  for (auto& v : w) v = static_cast<float>(rng.gaussian(0.0, 0.1));
+  const auto in = PackedCodes::pack(x, {sh.batch, sh.c, sh.hw, sh.hw}, af,
+                                    alut, 8);
+  const auto wt = PackedCodes::pack(w, {sh.c, sh.c, 3, 3}, wf, wlut);
+  const auto zc = static_cast<std::uint32_t>(lut_zero_code(*alut));
+  const ActEncodeSpec enc{af.quant_index()->view(), alut, in->code_bits(),
+                          kernels::kActRelu};
+  const Conv2dSpec spec{1, 1, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        conv2d_codes_codes_enc(*in, *wt, nullptr, spec, zc, enc));
+  }
+  state.SetItemsProcessed(state.iterations() * sh.c * sh.c * 9 * sh.batch *
+                          sh.hw * sh.hw);
+}
+BENCHMARK(BM_ConvCodesCodes)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // --- kernel-dispatch benches ---------------------------------------------
 // Direct kernel-table calls, no thread pool: the scalar reference (naive

@@ -78,7 +78,7 @@ int main() {
             << Table::num(lpq_row.top1, 2) << "% (FP "
             << Table::num(100 * wb.fp_accuracy, 2)
             << "%).  The synthetic substrate needs more weight bits than "
-               "real ImageNet models\n(see EXPERIMENTS.md), which is why "
+               "real ImageNet models,\nwhich is why "
                "the hardware rows above use the paper's allocation.\n";
   return 0;
 }

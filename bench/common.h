@@ -58,7 +58,7 @@ struct BitAllocation {
 
 /// Fast preset for the LPQ engine used by all benches (the paper's full
 /// parameters are K=20 P=10 C=4; benches shrink them so a full table runs
-/// in minutes on a CPU — see EXPERIMENTS.md).
+/// in minutes on a CPU).
 [[nodiscard]] lpq::LpqParams bench_lpq_params(bool transformer,
                                               bool hardware_preset);
 
@@ -97,7 +97,7 @@ double evaluate_spec(Workbench& wb, const nn::QuantSpec& spec);
 /// (Table 4's density implies mostly MODE-A) and 4/8 for the INT/flint
 /// baselines; these allocations reproduce that precision *mix* by layer
 /// sensitivity so the architecture comparison can be isolated from the
-/// synthetic substrate's higher precision needs (see EXPERIMENTS.md).
+/// synthetic substrate's higher precision needs.
 enum class PaperAlloc { kLpaMixed, kAnt, kIntMixed, kEightBit };
 [[nodiscard]] std::vector<int> paper_allocation(const nn::Model& model,
                                                 PaperAlloc kind);

@@ -13,8 +13,9 @@
 // adversarial inputs for every table available on the host.
 //
 // Parallelism composes from the outside: the thread pool (LP_THREADS)
-// splits row blocks / chunks across threads, and the dispatched kernel
-// vectorizes inside each block.  Selection order for dispatch():
+// splits row blocks / conv tiles / chunks across threads, and the
+// dispatched kernel vectorizes inside each block.  Selection order for
+// dispatch():
 //   1. LP_KERNEL=scalar|avx2|avx512 if set and usable on this host
 //      (otherwise a one-line stderr warning naming the reason at first
 //      use, then automatic selection);
@@ -189,17 +190,65 @@ using GemmCodesNtRowsFn = bool (*)(const float* a, const PackedCodesView& b,
                                    std::int64_t row_end, std::int64_t k,
                                    std::int64_t n);
 
-/// GEMM row-block kernel with BOTH operands coded, conv layout: A is the
-/// coded weight matrix [m,k] (weight LUT), B the coded activation patch
-/// matrix [k,n] (activation LUT), C float.  Each operand decodes through
-/// its own LUT at load; bit-identical to expanding both and calling
-/// gemm_rows.
-using GemmCodesCodesRowsFn = void (*)(const PackedCodesView& a,
-                                      const PackedCodesView& b,
-                                      const float* bias, float* c,
-                                      std::int64_t row_begin,
-                                      std::int64_t row_end, std::int64_t k,
-                                      std::int64_t n);
+/// Implicit-GEMM patch operand of the both-coded convolution.  The patch
+/// matrix B[k, col] of one group is never materialized: element (p, col),
+/// with p = (cc * kh + ky) * kw + kx and col = (b * ho + oy) * wo + ox, is
+/// the input code at (b, c_begin + cc, oy * stride - padding + ky,
+/// ox * stride - padding + kx) of the NCHW stream `data`, or `zero_code`
+/// where that position lies in the padding.  Codes are 8- or 16-bit
+/// (activation streams are byte-aligned) and decode through `lut`.
+struct ConvPatchView {
+  const std::uint8_t* data = nullptr;  ///< element 0 of the NCHW stream
+  int bits = 8;                        ///< 8 or 16
+  const float* lut = nullptr;
+  std::uint32_t lut_size = 0;
+  std::uint32_t zero_code = 0;  ///< padding code; decodes to exact +0.0f
+  std::int64_t batch = 0;       ///< input geometry [batch, c_total, h, w]
+  std::int64_t c_total = 0;
+  std::int64_t h = 0;
+  std::int64_t w = 0;
+  std::int64_t c_begin = 0;  ///< first input channel of this group
+  std::int64_t c_count = 0;  ///< input channels per group (k = c_count*kh*kw)
+  std::int64_t kh = 1;
+  std::int64_t kw = 1;
+  std::int64_t stride = 1;
+  std::int64_t padding = 0;
+  std::int64_t ho = 0;  ///< output spatial size
+  std::int64_t wo = 0;
+};
+
+/// Where a conv tile's finished elements go.  Element (row, col) of the
+/// group's output is float(acc) + bias_v (bias_v = bias[row], or 0.0f
+/// when `bias` is null — always a float add, so -0.0 sums become +0.0
+/// exactly as in the float conv) and lands at NCHW position
+/// (b, ch_begin + row, oy, ox): as a float in `out`, or — when `ep` is
+/// set — through act + nearest-index encode as a code in ep->codes.
+struct ConvTileSink {
+  const float* bias = nullptr;  ///< this group's row biases, or nullptr
+  std::int64_t cout = 0;        ///< output channels of the whole conv
+  std::int64_t ch_begin = 0;    ///< output channel of row 0
+  float* out = nullptr;         ///< float NCHW output (ep == nullptr)
+  const ActEncode* ep = nullptr;
+};
+
+/// Implicit-GEMM tile of the both-coded convolution: rows [r0, r1) of
+/// the group's coded weight matrix `a` ([m, k], weight LUT) times
+/// columns [c0, c1) of the patch operand `x`, finished into `sink`.  The
+/// kernel reads patch codes straight from the input stream, decoding each
+/// input code it reads once, fills one column panel at a time and sweeps
+/// every tile row over it; no patch matrix, result buffer or scatter
+/// pass exists.  Each
+/// element keeps the float conv's exact sequence (double accumulator
+/// seeded 0, ascending-k mul-then-add with zero A entries skipped, round
+/// to float, + bias_v, act, nearest index), so tiles are independent and
+/// any tiling gives the same bits.  Returns false when the encode sink
+/// met a non-finite element (the rest of the tile still runs); the float
+/// sink always returns true.
+using ConvCodesTileFn = bool (*)(const PackedCodesView& a,
+                                 const ConvPatchView& x,
+                                 const ConvTileSink& sink, std::int64_t r0,
+                                 std::int64_t r1, std::int64_t c0,
+                                 std::int64_t c1);
 
 /// GEMM row-block kernel with BOTH operands coded, linear layout: A is the
 /// coded activation matrix [m,k], B [n,k] row-major holds the coded
@@ -238,7 +287,7 @@ struct KernelTable {
   GemmRowsFn gemm_nt_rows;
   GemmCodesRowsFn gemm_codes_rows;
   GemmCodesNtRowsFn gemm_codes_nt_rows;
-  GemmCodesCodesRowsFn gemm_codes_codes_rows;
+  ConvCodesTileFn conv_codes_codes_tile;
   GemmCodesCodesNtRowsFn gemm_codes_codes_nt_rows;
   QuantizeChunkFn quantize_chunk;
   NearestIndicesFn nearest_indices;

@@ -16,6 +16,9 @@
 //    reference code itself.
 //  * Edge tiles (rows % 4, columns % 8) fall through to the reference
 //    block helpers, which are per-element identical by definition.
+//    The conv tile kernel instead runs a partial last panel at full
+//    width (dead lanes repeat a live column, so lanes never mix) and
+//    stores only the live lanes.
 #if defined(__AVX2__)
 
 #include <immintrin.h>
@@ -277,47 +280,103 @@ bool gemm_codes_nt_rows_avx2(const float* a, const PackedCodesView& b,
 }
 
 // ---------------------------------------------------------------------------
-// Both operands coded, conv layout (A = coded weights, B = coded
-// activation patches).  The A row block is LUT-expanded once per call;
-// each 8-column B panel is LUT-expanded at panel load — the activation
-// codes stream through the decode port exactly like the weight codes do
-// in gemm_codes_nt_rows_avx2.  The decoded floats equal the float path's
-// operands by the decode contract, so gemm_micro sees the identical IEEE
-// operation sequence; edge columns fall to the shared reference block.
+// Both operands coded, conv layout: the implicit-GEMM tile.  The weight
+// rows and the input region the tile reads are LUT-decoded once; then
+// each 8-column panel is filled from the region (padding lanes take
+// lut[zero_code]) and every tile row sweeps it with gemm_micro.  The
+// decoded floats equal the float path's operands by the decode contract,
+// so gemm_micro sees the identical IEEE operation sequence.
 
-void gemm_codes_codes_rows_avx2(const PackedCodesView& a,
-                                const PackedCodesView& b, const float* bias,
-                                float* c, std::int64_t row_begin,
-                                std::int64_t row_end, std::int64_t k,
-                                std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx2(a, row_begin * k, rows * k, a_block.data());
-  const std::int64_t full_cols = n - (n % 8);
-  if (full_cols > 0) {
-    std::vector<float> panel(static_cast<std::size_t>(k) * 8);
-    float* cr = c + row_begin * n;
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        decode_elems_avx2(b, p * n + j, 8, panel.data() + p * 8);
-      }
-      std::int64_t i = 0;
-      for (; i + 4 <= rows; i += 4) {
-        gemm_micro<4>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n);
-      }
-      switch (rows - i) {
-        case 3: gemm_micro<3>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n); break;
-        case 2: gemm_micro<2>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n); break;
-        case 1: gemm_micro<1>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n); break;
-        default: break;
+/// Panel fill from the tile's decoded input region: lane l of patch row
+/// p = (cc, ky, kx) gathers region[off[l] + cc * rows * row_len + ky *
+/// row_len + kx]; padding lanes are masked off the gather and take
+/// lut[zero_code].
+void fill_panel_avx2(const ConvPatchView& x, const detail::ConvRegion& rg,
+                     const float* region, const detail::ConvPanelCols& pc,
+                     float* panel) {
+  alignas(32) std::int32_t off[8];
+  alignas(32) std::int32_t iy[8];
+  alignas(32) std::int32_t ix[8];
+  detail::conv_region_lanes(x, rg, pc, 8, off);
+  for (int l = 0; l < 8; ++l) {
+    iy[l] = static_cast<std::int32_t>(pc.iy[l]);
+    ix[l] = static_cast<std::int32_t>(pc.ix[l]);
+  }
+  const auto load8 = [](const std::int32_t* v) {
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(v));
+  };
+  const __m256i off0 = load8(off);
+  const __m256i iy0 = load8(iy);
+  const __m256i ix0 = load8(ix);
+  const __m256 zv = _mm256_set1_ps(x.lut[x.zero_code]);
+  const __m256i neg1 = _mm256_set1_epi32(-1);
+  const __m256i vh = _mm256_set1_epi32(static_cast<int>(x.h));
+  const __m256i vw = _mm256_set1_epi32(static_cast<int>(x.w));
+  const std::int64_t chan = rg.rows * rg.row_len;
+  for (std::int64_t ky = 0; ky < x.kh; ++ky) {
+    const __m256i y =
+        _mm256_add_epi32(iy0, _mm256_set1_epi32(static_cast<int>(ky)));
+    const __m256i my = _mm256_and_si256(_mm256_cmpgt_epi32(y, neg1),
+                                        _mm256_cmpgt_epi32(vh, y));
+    for (std::int64_t kx = 0; kx < x.kw; ++kx) {
+      const __m256i xx =
+          _mm256_add_epi32(ix0, _mm256_set1_epi32(static_cast<int>(kx)));
+      const __m256 m = _mm256_castsi256_ps(_mm256_and_si256(
+          my, _mm256_and_si256(_mm256_cmpgt_epi32(xx, neg1),
+                               _mm256_cmpgt_epi32(vw, xx))));
+      for (std::int64_t cc = 0; cc < x.c_count; ++cc) {
+        const std::int64_t o = cc * chan + ky * rg.row_len + kx;
+        const __m256i idx =
+            _mm256_add_epi32(off0, _mm256_set1_epi32(static_cast<int>(o)));
+        _mm256_storeu_ps(panel + ((cc * x.kh + ky) * x.kw + kx) * 8,
+                         _mm256_mask_i32gather_ps(zv, region, idx, m, 4));
       }
     }
   }
-  if (full_cols < n) {
-    detail::gemm_codes_codes_ref_block(a, b, bias, c, row_begin, row_end,
-                                       full_cols, n, k, n);
+}
+
+bool conv_codes_codes_tile_avx2(const PackedCodesView& a,
+                                const ConvPatchView& x,
+                                const ConvTileSink& sink, std::int64_t r0,
+                                std::int64_t r1, std::int64_t c0,
+                                std::int64_t c1) {
+  const std::int64_t k = x.c_count * x.kh * x.kw;
+  const std::int64_t rows = r1 - r0;
+  if (rows <= 0 || c1 <= c0) return true;
+  float* const a_block = detail::tile_scratch(0, rows * k);
+  decode_elems_avx2(a, r0 * k, rows * k, a_block);
+  float* const panel = detail::tile_scratch(1, k * 8);
+  float* const vals = detail::tile_scratch(2, rows * 8);
+  const detail::ConvRegion rg = detail::conv_region(x, c0, c1);
+  const bool staged = rg.floats(x.c_count) <= detail::kConvRegionMaxFloats;
+  float* region = nullptr;
+  if (staged) {
+    region = detail::tile_scratch(3, rg.floats(x.c_count));
+    detail::conv_decode_region(x, rg, decode_elems_avx2, region);
   }
+  detail::ConvPanelCols pc;
+  bool ok = true;
+  for (std::int64_t j = c0; j < c1; j += 8) {
+    const int lanes = static_cast<int>(std::min<std::int64_t>(8, c1 - j));
+    detail::conv_panel_cols(x, sink.cout, j, lanes, 8, pc);
+    if (staged) {
+      fill_panel_avx2(x, rg, region, pc, panel);
+    } else {
+      detail::conv_gather_panel(x, pc, 8, panel);
+    }
+    std::int64_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+      gemm_micro<4>(a_block, panel, 8, nullptr, vals, i, 0, k, 8);
+    }
+    switch (rows - i) {
+      case 3: gemm_micro<3>(a_block, panel, 8, nullptr, vals, i, 0, k, 8); break;
+      case 2: gemm_micro<2>(a_block, panel, 8, nullptr, vals, i, 0, k, 8); break;
+      case 1: gemm_micro<1>(a_block, panel, 8, nullptr, vals, i, 0, k, 8); break;
+      default: break;
+    }
+    ok = detail::conv_tile_finish(sink, x, vals, 8, r0, rows, pc, lanes) && ok;
+  }
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -488,7 +547,7 @@ const KernelTable* avx2_kernels_impl() {
                                       gemm_nt_rows_avx2,
                                       gemm_codes_rows_avx2,
                                       gemm_codes_nt_rows_avx2,
-                                      gemm_codes_codes_rows_avx2,
+                                      conv_codes_codes_tile_avx2,
                                       gemm_codes_codes_nt_rows_avx2,
                                       quantize_chunk_avx2,
                                       nearest_indices_avx2};

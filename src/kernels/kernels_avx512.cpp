@@ -22,6 +22,9 @@
 //    by construction.
 //  * Edge tiles (rows % 4, columns % 16) fall through to the reference
 //    block helpers, which are per-element identical by definition.
+//    The conv tile kernel instead runs a partial last panel at full
+//    width (dead lanes repeat a live column, so lanes never mix) and
+//    stores only the live lanes.
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
 
 #include <immintrin.h>
@@ -254,41 +257,124 @@ bool gemm_codes_nt_rows_avx512(const float* a, const PackedCodesView& b,
 }
 
 // ---------------------------------------------------------------------------
-// Both operands coded, conv layout.
+// Both operands coded, conv layout: the implicit-GEMM tile.  The weight
+// rows and the input region the tile reads are LUT-decoded once; then
+// each 16-column panel is filled from the region (padding lanes take
+// lut[zero_code]) and every tile row sweeps it with gemm_micro — the
+// same loads and IEEE operation sequence as the float conv's GEMM over
+// decoded operands.
 
-void gemm_codes_codes_rows_avx512(const PackedCodesView& a,
-                                  const PackedCodesView& b, const float* bias,
-                                  float* c, std::int64_t row_begin,
-                                  std::int64_t row_end, std::int64_t k,
-                                  std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx512(a, row_begin * k, rows * k, a_block.data());
-  const std::int64_t full_cols = n - (n % 16);
-  if (full_cols > 0) {
-    std::vector<float> panel(static_cast<std::size_t>(k) * 16);
-    float* cr = c + row_begin * n;
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        decode_elems_avx512(b, p * n + j, 16, panel.data() + p * 16);
-      }
-      std::int64_t i = 0;
-      for (; i + 4 <= rows; i += 4) {
-        gemm_micro<4>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n);
-      }
-      switch (rows - i) {
-        case 3: gemm_micro<3>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n); break;
-        case 2: gemm_micro<2>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n); break;
-        case 1: gemm_micro<1>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n); break;
-        default: break;
+/// 16 int64 lanes truncated to int32 (exact for the coordinates of any
+/// input the conv can address).
+__m512i narrow_lanes(const std::int64_t* v) {
+  return _mm512_inserti64x4(
+      _mm512_castsi256_si512(_mm512_cvtepi64_epi32(_mm512_loadu_si512(v))),
+      _mm512_cvtepi64_epi32(_mm512_loadu_si512(v + 8)), 1);
+}
+
+/// Panel fill from the tile's decoded input region: lane l of patch row
+/// p = (cc, ky, kx) reads region[off[l] + cc * rows * row_len + ky *
+/// row_len + kx], or lut[zero_code] where the position is padding.  When a
+/// panel's live lanes sit in one output row of a stride-1 conv their
+/// reads are consecutive, and one masked load (masked-off lanes are never
+/// accessed) replaces the gather.
+void fill_panel_avx512(const ConvPatchView& x, const detail::ConvRegion& rg,
+                       const float* region, const detail::ConvPanelCols& pc,
+                       int lanes, float* panel) {
+  alignas(64) std::int32_t off[16];
+  detail::conv_region_lanes(x, rg, pc, 16, off);
+  const __m512i off0 = _mm512_load_si512(off);
+  const __m512 zv = _mm512_set1_ps(x.lut[x.zero_code]);
+  const __m512i vh = _mm512_set1_epi32(static_cast<int>(x.h));
+  const __m512i vw = _mm512_set1_epi32(static_cast<int>(x.w));
+  const __m512i iy0 = narrow_lanes(pc.iy);
+  const __m512i ix0 = narrow_lanes(pc.ix);
+  const __mmask16 live =
+      static_cast<__mmask16>(lanes >= 16 ? 0xFFFFU : (1U << lanes) - 1U);
+  // Stride 1: lane 0's output column is ox = ix + padding.
+  const bool row_run =
+      x.stride == 1 && pc.ix[0] + x.padding + lanes <= x.wo;
+  const auto base = reinterpret_cast<std::uintptr_t>(region);
+  const std::int64_t chan = rg.rows * rg.row_len;
+  for (std::int64_t ky = 0; ky < x.kh; ++ky) {
+    const __mmask16 my = _mm512_cmp_epu32_mask(
+        _mm512_add_epi32(iy0, _mm512_set1_epi32(static_cast<int>(ky))), vh,
+        _MM_CMPINT_LT);
+    for (std::int64_t kx = 0; kx < x.kw; ++kx) {
+      const __m512i xx =
+          _mm512_add_epi32(ix0, _mm512_set1_epi32(static_cast<int>(kx)));
+      const __mmask16 m = my & _mm512_cmp_epu32_mask(xx, vw, _MM_CMPINT_LT);
+      for (std::int64_t cc = 0; cc < x.c_count; ++cc) {
+        const std::int64_t o = cc * chan + ky * rg.row_len + kx;
+        __m512 v;
+        if (row_run) {
+          // Formed as an integer: lane 0 may sit before the region (it
+          // is masked off then).
+          const std::uintptr_t addr =
+              base + static_cast<std::uintptr_t>((off[0] + o) * 4);
+          v = _mm512_mask_loadu_ps(zv, m & live,
+                                   reinterpret_cast<const void*>(addr));
+        } else {
+          v = _mm512_mask_i32gather_ps(
+              zv, m,
+              _mm512_add_epi32(off0, _mm512_set1_epi32(static_cast<int>(o))),
+              region, 4);
+        }
+        _mm512_storeu_ps(panel + ((cc * x.kh + ky) * x.kw + kx) * 16, v);
       }
     }
   }
-  if (full_cols < n) {
-    detail::gemm_codes_codes_ref_block(a, b, bias, c, row_begin, row_end,
-                                       full_cols, n, k, n);
+}
+
+bool conv_codes_codes_tile_avx512(const PackedCodesView& a,
+                                  const ConvPatchView& x,
+                                  const ConvTileSink& sink, std::int64_t r0,
+                                  std::int64_t r1, std::int64_t c0,
+                                  std::int64_t c1) {
+  const std::int64_t k = x.c_count * x.kh * x.kw;
+  const std::int64_t rows = r1 - r0;
+  if (rows <= 0 || c1 <= c0) return true;
+  float* const a_block = detail::tile_scratch(0, rows * k);
+  decode_elems_avx512(a, r0 * k, rows * k, a_block);
+  float* const panel = detail::tile_scratch(1, k * 16);
+  float* const vals = detail::tile_scratch(2, rows * 16);
+  const detail::ConvRegion rg = detail::conv_region(x, c0, c1);
+  const bool staged = rg.floats(x.c_count) <= detail::kConvRegionMaxFloats;
+  float* region = nullptr;
+  if (staged) {
+    region = detail::tile_scratch(3, rg.floats(x.c_count));
+    detail::conv_decode_region(x, rg, decode_elems_avx512, region);
   }
+  detail::ConvPanelCols pc;
+  bool ok = true;
+  for (std::int64_t j = c0; j < c1; j += 16) {
+    const int lanes = static_cast<int>(std::min<std::int64_t>(16, c1 - j));
+    detail::conv_panel_cols(x, sink.cout, j, lanes, 16, pc);
+    if (staged) {
+      fill_panel_avx512(x, rg, region, pc, lanes, panel);
+    } else {
+      detail::conv_gather_panel(x, pc, 16, panel);
+    }
+    // 8-row tiles: 16 zmm accumulators amortize each panel row's two
+    // float->double conversions over twice the rows of the 4-row tile.
+    std::int64_t i = 0;
+    for (; i + 8 <= rows; i += 8) {
+      gemm_micro<8>(a_block, panel, 16, nullptr, vals, i, 0, k, 16);
+    }
+    if (rows - i >= 4) {
+      gemm_micro<4>(a_block, panel, 16, nullptr, vals, i, 0, k, 16);
+      i += 4;
+    }
+    switch (rows - i) {
+      case 3: gemm_micro<3>(a_block, panel, 16, nullptr, vals, i, 0, k, 16); break;
+      case 2: gemm_micro<2>(a_block, panel, 16, nullptr, vals, i, 0, k, 16); break;
+      case 1: gemm_micro<1>(a_block, panel, 16, nullptr, vals, i, 0, k, 16); break;
+      default: break;
+    }
+    ok = detail::conv_tile_finish(sink, x, vals, 16, r0, rows, pc, lanes) &&
+         ok;
+  }
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +532,7 @@ const KernelTable* avx512_kernels_impl() {
                                       gemm_nt_rows_avx512,
                                       gemm_codes_rows_avx512,
                                       gemm_codes_nt_rows_avx512,
-                                      gemm_codes_codes_rows_avx512,
+                                      conv_codes_codes_tile_avx512,
                                       gemm_codes_codes_nt_rows_avx512,
                                       quantize_chunk_avx512,
                                       nearest_indices_avx512};

@@ -45,22 +45,98 @@ void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
                              std::int64_t col_begin, std::int64_t col_end,
                              std::int64_t k, std::int64_t n);
 
-/// Reference for BOTH operands coded (conv layout: A = coded weights,
-/// B = coded activation patches), each decoded through its own LUT at the
-/// point of use; gemm_ref_block's exact arithmetic sequence (double
-/// accumulator, ascending-k, zero decoded A values skipped).
-void gemm_codes_codes_ref_block(const PackedCodesView& a,
-                                const PackedCodesView& b, const float* bias,
-                                float* c, std::int64_t row_begin,
-                                std::int64_t row_end, std::int64_t col_begin,
-                                std::int64_t col_end, std::int64_t k,
-                                std::int64_t n);
+/// Column geometry of one implicit-GEMM conv panel (see ConvPatchView):
+/// lane l covers patch column c0 + min(l, lanes - 1) — dead lanes past the
+/// tile edge replicate the last live column, so every read they make is
+/// one a live lane could make.  `img` is the lane's batch image, `iy`/`ix`
+/// the input coordinates of its patch's (ky, kx) = (0, 0) corner (negative
+/// or past the edge in the padding), and `dst` its output element in
+/// output channel 0 (img * cout * ho * wo + oy * wo + ox).
+struct ConvPanelCols {
+  std::int64_t img[16];
+  std::int64_t iy[16];
+  std::int64_t ix[16];
+  std::int64_t dst[16];
+};
+
+/// Fill `pc` for the `width`-lane panel starting at patch column c0, of
+/// which the first `lanes` are live.
+void conv_panel_cols(const ConvPatchView& x, std::int64_t cout,
+                     std::int64_t c0, int lanes, int width,
+                     ConvPanelCols& pc);
+
+/// Reference patch gather: panel[p * width + l] = the decoded patch
+/// element (p, lane l) for every p in [0, k), padding positions decoding
+/// x.zero_code.  The scalar table's gather, and the SIMD tables' fallback
+/// for tiles whose input region is too large to stage.
+void conv_gather_panel(const ConvPatchView& x, const ConvPanelCols& pc,
+                       int width, float* panel);
+
+/// The input a conv tile over patch columns [c0, c1) reads, for each of
+/// the group's c_count channels: flattened input rows f = img * h + iy in
+/// [f0, f0 + rows), columns [x0, x0 + row_len).  A tile inside one output
+/// row reads only its columns' receptive field; a tile spanning output
+/// rows reads whole input rows.  Staged decoded as
+/// region[(cc * rows + f - f0) * row_len + ix - x0], so a SIMD tile
+/// LUT-decodes each input element it reads once, not once per patch
+/// position that covers it.
+struct ConvRegion {
+  std::int64_t f0 = 0;
+  std::int64_t rows = 0;
+  std::int64_t x0 = 0;
+  std::int64_t row_len = 0;
+  [[nodiscard]] std::int64_t floats(std::int64_t c_count) const {
+    return c_count * rows * row_len;
+  }
+};
+
+[[nodiscard]] ConvRegion conv_region(const ConvPatchView& x, std::int64_t c0,
+                                     std::int64_t c1);
+
+/// Largest region a SIMD tile stages (4 MiB of floats); a tile reading
+/// more (very wide inputs) takes the reference gather instead.
+inline constexpr std::int64_t kConvRegionMaxFloats = std::int64_t{1} << 20;
+
+/// Decode function of a SIMD table: dst[i] = lut[code at elem_begin + i]
+/// for i in [0, count), reading exactly those codes.
+using DecodeElemsFn = void (*)(const PackedCodesView& v,
+                               std::int64_t elem_begin, std::int64_t count,
+                               float* dst);
+
+/// Decode the tile's input region into `region` (rg.floats(x.c_count)
+/// floats) through `decode`: one call per channel and image, or per input
+/// row when the region is narrower than the input.
+void conv_decode_region(const ConvPatchView& x, const ConvRegion& rg,
+                        DecodeElemsFn decode, float* region);
+
+/// Region float offset of each lane's patch corner in channel 0:
+/// (img * h + iy - rg.f0) * rg.row_len + ix - rg.x0, narrowed to int32
+/// (exact whenever the region holds fewer than 2^31 floats).  Padding
+/// lanes get offsets outside the region; callers mask them off.
+void conv_region_lanes(const ConvPatchView& x, const ConvRegion& rg,
+                       const ConvPanelCols& pc, int width, std::int32_t* off);
+
+/// Finish one panel of a conv tile: vals[r * width + l] holds the rounded
+/// accumulator of tile row r0 + r, lane l.  Adds the row's bias_v, then
+/// stores the first `lanes` lanes of every row through the sink (a float
+/// NCHW store, or act + batched nearest-index encode + code write).
+/// Clobbers vals.  Returns false when the encode sink met a non-finite
+/// live element (all other elements are still written).
+bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
+                      float* vals, int width, std::int64_t r0,
+                      std::int64_t rows, const ConvPanelCols& pc, int lanes);
+
+/// Thread-local float scratch for the conv tile kernels, one buffer per
+/// `slot` (0 = decoded weight rows, 1 = decoded patch panel, 2 = staged
+/// panel results, 3 = decoded input region).  Not zeroed; valid until
+/// the next call with the same slot on the same thread.
+[[nodiscard]] float* tile_scratch(int slot, std::int64_t count);
 
 /// Encode one finished output element for the fused epilogue: apply
 /// ep.act, nearest-index through ep.qidx, write the code at element e of
 /// ep.codes.  Returns false (and writes nothing) when the activated value
-/// is non-finite.  Out-of-line in the scalar TU so every kernel table —
-/// and the conv scatter in tensor/ops.cpp — shares one compiled encoder.
+/// is non-finite.  Out-of-line in the scalar TU so every kernel table
+/// shares one compiled encoder.
 bool encode_elem(const ActEncode& ep, float v, std::int64_t e);
 
 /// Fused epilogue over a finished row block: apply ep.act to src[0..count)

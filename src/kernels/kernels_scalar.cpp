@@ -116,38 +116,6 @@ void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
   }
 }
 
-void gemm_codes_codes_ref_block(const PackedCodesView& a,
-                                const PackedCodesView& b, const float* bias,
-                                float* c, std::int64_t row_begin,
-                                std::int64_t row_end, std::int64_t col_begin,
-                                std::int64_t col_end, std::int64_t k,
-                                std::int64_t n) {
-  const std::int64_t w = col_end - col_begin;
-  if (w <= 0 || row_end <= row_begin) return;
-  std::vector<double> acc(static_cast<std::size_t>(w));
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] = bias[col_begin + j];
-      }
-    } else {
-      std::fill(acc.begin(), acc.end(), 0.0);
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const double av = packed_decode_at(a, i * k + p);
-      if (av == 0.0) continue;
-      const std::int64_t brow = p * n + col_begin;
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] += av * packed_decode_at(b, brow + j);
-      }
-    }
-    float* crow = c + i * n + col_begin;
-    for (std::int64_t j = 0; j < w; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
-    }
-  }
-}
-
 bool encode_elem(const ActEncode& ep, float v, std::int64_t e) {
   const float y = act_eval(v, ep.act);
   const auto bits = std::bit_cast<std::uint32_t>(y);
@@ -250,12 +218,156 @@ bool encode_strided_block(const ActEncode& ep, float* scratch,
   return ok;
 }
 
+bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
+                      float* vals, int width, std::int64_t r0,
+                      std::int64_t rows, const ConvPanelCols& pc, int lanes) {
+  const std::int64_t plane = x.ho * x.wo;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float bias_v = sink.bias != nullptr ? sink.bias[r0 + r] : 0.0F;
+    float* v = vals + r * width;
+    for (int l = 0; l < width; ++l) v[l] = v[l] + bias_v;
+  }
+  if (sink.ep == nullptr) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* dst = sink.out + (sink.ch_begin + r0 + r) * plane;
+      const float* v = vals + r * width;
+      for (int l = 0; l < lanes; ++l) dst[pc.dst[l]] = v[l];
+    }
+    return true;
+  }
+  const ActEncode& ep = *sink.ep;
+  const std::int64_t count = rows * width;
+  if (ep.act != kActNone) act_apply_dyn(ep.act, vals, vals, count);
+  const std::uint32_t* idx = activated_indices(ep, vals, count);
+  bool ok = true;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t e0 = (sink.ch_begin + r0 + r) * plane;
+    const std::uint32_t* ir = idx + r * width;
+    for (int l = 0; l < lanes; ++l) {
+      if (ir[l] == kInvalidIndex) {
+        ok = false;  // non-finite: no code, matching encode_elem
+        continue;
+      }
+      packed_code_write(ep.codes, ep.bits, e0 + pc.dst[l], ir[l]);
+    }
+  }
+  return ok;
+}
+
 float* fused_scratch(std::int64_t count) {
   thread_local std::vector<float> buf;
   if (static_cast<std::int64_t>(buf.size()) < count) {
     buf.resize(static_cast<std::size_t>(count));
   }
   return buf.data();
+}
+
+float* tile_scratch(int slot, std::int64_t count) {
+  thread_local std::vector<float> bufs[4];
+  std::vector<float>& buf = bufs[slot];
+  if (static_cast<std::int64_t>(buf.size()) < count) {
+    buf.resize(static_cast<std::size_t>(count));
+  }
+  return buf.data();
+}
+
+void conv_panel_cols(const ConvPatchView& x, std::int64_t cout,
+                     std::int64_t c0, int lanes, int width,
+                     ConvPanelCols& pc) {
+  const std::int64_t plane_out = x.ho * x.wo;
+  // Column c0's (b, oy, ox), then step one column per live lane.
+  std::int64_t b = c0 / plane_out;
+  std::int64_t oy = (c0 % plane_out) / x.wo;
+  std::int64_t ox = c0 % x.wo;
+  for (int l = 0; l < width; ++l) {
+    if (l > 0 && l < lanes && ++ox == x.wo) {
+      ox = 0;
+      if (++oy == x.ho) {
+        oy = 0;
+        ++b;
+      }
+    }
+    pc.img[l] = b;
+    pc.iy[l] = oy * x.stride - x.padding;
+    pc.ix[l] = ox * x.stride - x.padding;
+    pc.dst[l] = b * cout * plane_out + oy * x.wo + ox;
+  }
+}
+
+void conv_gather_panel(const ConvPatchView& x, const ConvPanelCols& pc,
+                       int width, float* panel) {
+  const PackedCodesView v{x.data, 0, x.bits, x.lut, x.lut_size};
+  for (std::int64_t cc = 0; cc < x.c_count; ++cc) {
+    for (std::int64_t ky = 0; ky < x.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < x.kw; ++kx) {
+        float* dst = panel + ((cc * x.kh + ky) * x.kw + kx) * width;
+        for (int l = 0; l < width; ++l) {
+          const std::int64_t iy = pc.iy[l] + ky;
+          const std::int64_t ix = pc.ix[l] + kx;
+          const bool inside = iy >= 0 && iy < x.h && ix >= 0 && ix < x.w;
+          const std::int64_t e =
+              ((pc.img[l] * x.c_total + x.c_begin + cc) * x.h + iy) * x.w +
+              ix;
+          dst[l] = x.lut[inside ? packed_code_at(v, e) : x.zero_code];
+        }
+      }
+    }
+  }
+}
+
+ConvRegion conv_region(const ConvPatchView& x, std::int64_t c0,
+                       std::int64_t c1) {
+  const std::int64_t plane_out = x.ho * x.wo;
+  const std::int64_t b0 = c0 / plane_out;
+  const std::int64_t b1 = (c1 - 1) / plane_out;
+  const std::int64_t oy0 = (c0 % plane_out) / x.wo;
+  const std::int64_t oy1 = ((c1 - 1) % plane_out) / x.wo;
+  const std::int64_t y_lo =
+      std::max<std::int64_t>(0, oy0 * x.stride - x.padding);
+  const std::int64_t y_hi = std::min(x.h, oy1 * x.stride - x.padding + x.kh);
+  ConvRegion rg;
+  rg.f0 = b0 * x.h + y_lo;
+  rg.rows = std::max<std::int64_t>(0, b1 * x.h + y_hi - rg.f0);
+  rg.x0 = 0;
+  rg.row_len = x.w;
+  if (b0 == b1 && oy0 == oy1) {
+    const std::int64_t x_lo = std::max<std::int64_t>(
+        0, (c0 % x.wo) * x.stride - x.padding);
+    const std::int64_t x_hi =
+        std::min(x.w, ((c1 - 1) % x.wo) * x.stride - x.padding + x.kw);
+    rg.x0 = x_lo;
+    rg.row_len = std::max<std::int64_t>(0, x_hi - x_lo);
+  }
+  return rg;
+}
+
+void conv_decode_region(const ConvPatchView& x, const ConvRegion& rg,
+                        DecodeElemsFn decode, float* region) {
+  const PackedCodesView v{x.data, 0, x.bits, x.lut, x.lut_size};
+  for (std::int64_t cc = 0; cc < x.c_count; ++cc) {
+    float* dst = region + cc * rg.rows * rg.row_len;
+    for (std::int64_t f = rg.f0; f < rg.f0 + rg.rows;) {
+      const std::int64_t b = f / x.h;
+      const std::int64_t iy = f % x.h;
+      // Whole rows of one image and channel are contiguous in the stream.
+      const std::int64_t run =
+          rg.row_len == x.w ? std::min(rg.f0 + rg.rows, (b + 1) * x.h) - f
+                            : 1;
+      const std::int64_t e =
+          ((b * x.c_total + x.c_begin + cc) * x.h + iy) * x.w + rg.x0;
+      decode(v, e, run * rg.row_len, dst);
+      dst += run * rg.row_len;
+      f += run;
+    }
+  }
+}
+
+void conv_region_lanes(const ConvPatchView& x, const ConvRegion& rg,
+                       const ConvPanelCols& pc, int width, std::int32_t* off) {
+  for (int l = 0; l < width; ++l) {
+    off[l] = static_cast<std::int32_t>(
+        (pc.img[l] * x.h + pc.iy[l] - rg.f0) * rg.row_len + pc.ix[l] - rg.x0);
+  }
 }
 
 std::size_t qindex_lookup(const QuantIndexView& v, std::uint32_t key) {
@@ -363,13 +475,44 @@ bool gemm_codes_nt_rows_scalar(const float* a, const PackedCodesView& b,
                                   rows * n);
 }
 
-void gemm_codes_codes_rows_scalar(const PackedCodesView& a,
-                                  const PackedCodesView& b, const float* bias,
-                                  float* c, std::int64_t row_begin,
-                                  std::int64_t row_end, std::int64_t k,
-                                  std::int64_t n) {
-  detail::gemm_codes_codes_ref_block(a, b, bias, c, row_begin, row_end, 0, n,
-                                     k, n);
+bool conv_codes_codes_tile_scalar(const PackedCodesView& a,
+                                  const ConvPatchView& x,
+                                  const ConvTileSink& sink, std::int64_t r0,
+                                  std::int64_t r1, std::int64_t c0,
+                                  std::int64_t c1) {
+  constexpr int kWidth = 16;
+  const std::int64_t k = x.c_count * x.kh * x.kw;
+  const std::int64_t rows = r1 - r0;
+  if (rows <= 0 || c1 <= c0) return true;
+  float* const a_block = detail::tile_scratch(0, rows * k);
+  for (std::int64_t t = 0; t < rows * k; ++t) {
+    a_block[t] = packed_decode_at(a, r0 * k + t);
+  }
+  float* const panel = detail::tile_scratch(1, k * kWidth);
+  float* const vals = detail::tile_scratch(2, rows * kWidth);
+  detail::ConvPanelCols pc;
+  bool ok = true;
+  for (std::int64_t j = c0; j < c1; j += kWidth) {
+    const int lanes = static_cast<int>(std::min<std::int64_t>(kWidth, c1 - j));
+    detail::conv_panel_cols(x, sink.cout, j, lanes, kWidth, pc);
+    detail::conv_gather_panel(x, pc, kWidth, panel);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      double acc[kWidth] = {};
+      const float* arow = a_block + r * k;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const double av = arow[p];
+        if (av == 0.0) continue;
+        const float* prow = panel + p * kWidth;
+        for (int l = 0; l < kWidth; ++l) acc[l] += av * prow[l];
+      }
+      for (int l = 0; l < kWidth; ++l) {
+        vals[r * kWidth + l] = static_cast<float>(acc[l]);
+      }
+    }
+    ok = detail::conv_tile_finish(sink, x, vals, kWidth, r0, rows, pc, lanes) &&
+         ok;
+  }
+  return ok;
 }
 
 bool gemm_codes_codes_nt_rows_scalar(const PackedCodesView& a,
@@ -441,7 +584,7 @@ const KernelTable& scalar_kernels() {
                                       gemm_nt_rows_scalar,
                                       gemm_codes_rows_scalar,
                                       gemm_codes_nt_rows_scalar,
-                                      gemm_codes_codes_rows_scalar,
+                                      conv_codes_codes_tile_scalar,
                                       gemm_codes_codes_nt_rows_scalar,
                                       quantize_chunk_scalar,
                                       nearest_indices_scalar};

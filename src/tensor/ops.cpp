@@ -71,20 +71,6 @@ void gemm_codes_parallel(const kernels::PackedCodesView& a, const float* b,
                  });
 }
 
-/// gemm_parallel with BOTH operands coded (conv layout): the kernel
-/// decodes each through its own LUT inside the row block.
-void gemm_codes_codes_parallel(const kernels::PackedCodesView& a,
-                               const kernels::PackedCodesView& b,
-                               const float* bias, float* c, std::int64_t m,
-                               std::int64_t k, std::int64_t n) {
-  const kernels::KernelTable& kt = kernels::dispatch();
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_codes_codes_rows(a, b, bias, c, row_begin, row_end,
-                                            k, n);
-                 });
-}
-
 /// Shared serial/parallel split for the coded-B^T GEMMs.  The nt kernels
 /// decode the whole B operand per row-block call (O(n*k)); a block must
 /// carry enough A rows to amortize that, or a short A split into one-row
@@ -354,60 +340,6 @@ Tensor im2col(const Tensor& input, std::int64_t c_begin, std::int64_t c_count,
   return cols;
 }
 
-PackedCodes im2col_codes(const PackedCodes& input, std::int64_t c_begin,
-                         std::int64_t c_count, std::int64_t kh, std::int64_t kw,
-                         const Conv2dSpec& spec, std::uint32_t zero_code) {
-  LP_CHECK(input.rank() == 4);
-  const int bits = input.code_bits();
-  LP_CHECK_MSG(bits == 8 || bits == 16,
-               "coded im2col needs byte-aligned codes, got " << bits << "-bit");
-  LP_CHECK(static_cast<std::size_t>(zero_code) < input.lut()->size());
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c_total = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  LP_CHECK(c_begin >= 0 && c_begin + c_count <= c_total);
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t col_width = n * ho * wo;
-  const std::int64_t patch_rows = c_count * kh * kw;
-  std::vector<std::uint8_t> out(
-      PackedCodes::stream_bytes(patch_rows * col_width, bits));
-  std::uint8_t* dst = out.data();
-  const kernels::PackedCodesView iv = input.view();
-  // Same row order and padding positions as the float im2col; rows write
-  // disjoint byte ranges (codes are byte-aligned), so parallel rows are
-  // race-free.
-  auto fill_rows = [&](std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t) {
-    for (std::int64_t row = row_begin; row < row_end; ++row) {
-      const std::int64_t cc = row / (kh * kw);
-      const std::int64_t ky = (row / kw) % kh;
-      const std::int64_t kx = row % kw;
-      std::int64_t col = row * col_width;
-      for (std::int64_t b = 0; b < n; ++b) {
-        const std::int64_t chan = ((b * c_total + c_begin + cc) * h) * w;
-        for (std::int64_t oy = 0; oy < ho; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-          const bool y_ok = iy >= 0 && iy < h;
-          for (std::int64_t ox = 0; ox < wo; ++ox, ++col) {
-            const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-            const std::uint32_t code =
-                (y_ok && ix >= 0 && ix < w)
-                    ? kernels::packed_code_at(iv, chan + iy * w + ix)
-                    : zero_code;
-            kernels::packed_code_write(dst, bits, col, code);
-          }
-        }
-      }
-    }
-  };
-  for_row_blocks(patch_rows * col_width, kRowsSerialBelow, patch_rows,
-                 fill_rows);
-  return PackedCodes::from_codes(std::move(out), {patch_rows, col_width}, bits,
-                                 input.lut());
-}
-
 namespace {
 
 /// Shared conv2d body for float and packed-code weights: im2col per
@@ -418,8 +350,7 @@ namespace {
 /// element e + r*stride + i (one call covers a full output channel — the
 /// GEMM row is contiguous across the batch, destinations stride by one
 /// NCHW plane) — the plain variants write floats into an NCHW tensor, the
-/// fused variant batch-encodes through the epilogue (same sink contract
-/// as conv2d_cc_core).
+/// fused variant batch-encodes through the epilogue.
 /// `wd` is the weight's [Cout, Cin/groups, kh, kw] shape — the storage
 /// forms share it, and everything outside the GEMM call and the sink is
 /// identical, so the coded paths are bit-identical by construction.
@@ -580,20 +511,33 @@ std::optional<PackedCodes> conv2d_codes_enc(const Tensor& input,
 
 namespace {
 
-/// Shared body for the coded-input convolutions: coded im2col per group,
-/// both-coded GEMM per group, then a scatter whose per-element sink comes
-/// from `make_write(out_shape)` (same strided contract as conv2d_core) —
-/// the float variant writes `src + bias` into an NCHW tensor, the fused
-/// variant batch-encodes through the epilogue.  The sink returns false
-/// for an unencodable element; the core reports whether every element
-/// succeeded (all groups still run).  Everything
-/// around the sink is the float conv2d_core's exact sequence, so both
-/// variants stay bit-identical to it.
-template <typename MakeWrite>
+/// Shared body of the both-coded convolutions: an implicit GEMM over
+/// (group, row block, column block) tiles of the dispatched
+/// conv_codes_codes_tile kernel, which gathers patch codes straight from
+/// the input stream and finishes every element into `sink` (float NCHW
+/// store or fused act + encode).  The schedule depends only on the shape
+/// and the pool width: column blocks of whole 16-column panels when a
+/// group has at least 4 x threads panels, otherwise row blocks of at
+/// least kMinTileRows rows as well.  Column blocks are capped so a tile's
+/// patch elements (k x columns, which bound the input region it decodes)
+/// stay within kTilePatchFloats, and row blocks so its decoded weight
+/// rows stay within kTileWeightFloats: both live in per-thread scratch
+/// that persists across calls.  Every output
+/// element is computed by exactly one tile with the float conv's exact
+/// arithmetic sequence, so no tiling (and no pool size) can change a bit.
+/// `make_sink(out_shape)` allocates the output and returns the sink
+/// (bias, cout and ch_begin are filled in here).  Returns whether every
+/// element was encodable (all tiles still run).
+template <typename MakeSink>
 bool conv2d_cc_core(const PackedCodes& input, const PackedCodes& weight,
                     const Tensor* bias, const Conv2dSpec& spec,
-                    std::uint32_t zero_code, MakeWrite&& make_write) {
+                    std::uint32_t zero_code, MakeSink&& make_sink) {
   LP_CHECK(input.rank() == 4 && weight.rank() == 4);
+  const int bits = input.code_bits();
+  LP_CHECK_MSG(bits == 8 || bits == 16,
+               "coded conv input needs byte-aligned codes, got " << bits
+                                                                 << "-bit");
+  LP_CHECK(static_cast<std::size_t>(zero_code) < input.lut()->size());
   const std::int64_t n = input.dim(0);
   const std::int64_t cin = input.dim(1);
   const std::int64_t h = input.dim(2);
@@ -611,36 +555,89 @@ bool conv2d_cc_core(const PackedCodes& input, const PackedCodes& weight,
 
   const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
   const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t cg_in = cin / spec.groups;
-  const std::int64_t cg_out = cout / spec.groups;
+  const std::int64_t groups = spec.groups;
+  const std::int64_t cg_in = cin / groups;
+  const std::int64_t cg_out = cout / groups;
+  const std::int64_t k = cg_in * kh * kw;
   const std::int64_t col_width = n * ho * wo;
 
-  auto write = make_write(std::vector<std::int64_t>{n, cout, ho, wo});
+  const kernels::PackedCodesView iv = input.view();
+  const kernels::ConvPatchView x{.data = iv.data,
+                                 .bits = bits,
+                                 .lut = iv.lut,
+                                 .lut_size = iv.lut_size,
+                                 .zero_code = zero_code,
+                                 .batch = n,
+                                 .c_total = cin,
+                                 .h = h,
+                                 .w = w,
+                                 .c_begin = 0,
+                                 .c_count = cg_in,
+                                 .kh = kh,
+                                 .kw = kw,
+                                 .stride = spec.stride,
+                                 .padding = spec.padding,
+                                 .ho = ho,
+                                 .wo = wo};
+  kernels::ConvTileSink sink =
+      make_sink(std::vector<std::int64_t>{n, cout, ho, wo});
+  sink.cout = cout;
+
+  // Tile schedule (shape and pool width only).
+  constexpr std::int64_t kPanel = 16;
+  constexpr std::int64_t kMinTileRows = 8;
+  constexpr std::int64_t kTileWeightFloats = std::int64_t{1} << 18;
+  constexpr std::int64_t kTilePatchFloats = std::int64_t{1} << 16;
+  const std::int64_t panels = (col_width + kPanel - 1) / kPanel;
+  std::int64_t panels_per_tile = panels;
+  std::int64_t rows_per_tile = cg_out;
+  const bool parallel = groups * cg_out * k * col_width >= kGemmSerialBelow;
+  if (parallel) {
+    const std::int64_t target =
+        (4 * default_pool().thread_count() + groups - 1) / groups;
+    if (panels >= target) {
+      panels_per_tile = std::max<std::int64_t>(
+          1, std::min(panels / target, kTilePatchFloats / (k * kPanel)));
+    } else {
+      panels_per_tile = 1;
+      const std::int64_t row_splits = (target + panels - 1) / panels;
+      rows_per_tile = std::max(kMinTileRows,
+                               (cg_out + row_splits - 1) / row_splits);
+    }
+    rows_per_tile = std::min(rows_per_tile,
+                             std::max(kMinTileRows, kTileWeightFloats / k));
+  }
+  const std::int64_t cols_per_tile = panels_per_tile * kPanel;
+  const std::int64_t row_tiles = (cg_out + rows_per_tile - 1) / rows_per_tile;
+  const std::int64_t col_tiles =
+      (col_width + cols_per_tile - 1) / cols_per_tile;
+  const std::int64_t tiles_per_group = row_tiles * col_tiles;
+
+  const kernels::ConvCodesTileFn tile_fn =
+      kernels::dispatch().conv_codes_codes_tile;
   std::atomic<bool> ok{true};
-  for (std::int64_t g = 0; g < spec.groups; ++g) {
-    const PackedCodes cols =
-        im2col_codes(input, g * cg_in, cg_in, kh, kw, spec, zero_code);
-    const std::int64_t k = cg_in * kh * kw;
-    std::vector<float> result(static_cast<std::size_t>(cg_out * col_width),
-                              0.0F);
-    gemm_codes_codes_parallel(weight.view(g * cg_out * k), cols.view(), nullptr,
-                              result.data(), cg_out, k, col_width);
-    // Output channels touch disjoint planes — parallel over oc, exactly
-    // like the float scatter.
-    auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
-                       std::int64_t) {
-      bool block_ok = true;
-      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        const float bias_v =
-            (bias != nullptr) ? (*bias)[g * cg_out + oc] : 0.0F;
-        const float* rrow = result.data() + oc * col_width;
-        const std::int64_t base = (g * cg_out + oc) * ho * wo;
-        block_ok = write(base, cout * ho * wo, ho * wo, n, rrow, bias_v) &&
-                   block_ok;
-      }
-      if (!block_ok) ok.store(false, std::memory_order_relaxed);
-    };
-    for_row_blocks(cg_out * col_width, kRowsSerialBelow, cg_out, scatter);
+  auto run_tile = [&](std::int64_t t) {
+    const std::int64_t g = t / tiles_per_group;
+    const std::int64_t rt = (t % tiles_per_group) / col_tiles;
+    const std::int64_t ct = t % col_tiles;
+    kernels::ConvPatchView xg = x;
+    xg.c_begin = g * cg_in;
+    kernels::ConvTileSink sg = sink;
+    sg.ch_begin = g * cg_out;
+    if (bias != nullptr) sg.bias = bias->raw() + g * cg_out;
+    const std::int64_t r0 = rt * rows_per_tile;
+    const std::int64_t c0 = ct * cols_per_tile;
+    if (!tile_fn(weight.view(g * cg_out * k), xg, sg, r0,
+                 std::min(cg_out, r0 + rows_per_tile), c0,
+                 std::min(col_width, c0 + cols_per_tile))) {
+      ok.store(false, std::memory_order_relaxed);
+    }
+  };
+  const std::int64_t tiles = groups * tiles_per_group;
+  if (!parallel || tiles == 1) {
+    for (std::int64_t t = 0; t < tiles; ++t) run_tile(t);
+  } else {
+    default_pool().run_chunks(tiles, run_tile);
   }
   return ok.load(std::memory_order_relaxed);
 }
@@ -654,19 +651,9 @@ Tensor conv2d_codes_codes(const PackedCodes& input, const PackedCodes& weight,
   (void)conv2d_cc_core(input, weight, bias, spec, zero_code,
                        [&](std::vector<std::int64_t> shape) {
                          out = Tensor(std::move(shape));
-                         float* raw = out.raw();
-                         return [raw](std::int64_t e, std::int64_t stride,
-                                      std::int64_t run, std::int64_t nruns,
-                                      const float* src, float bias_v) {
-                           for (std::int64_t r = 0; r < nruns; ++r) {
-                             float* dst = raw + e + r * stride;
-                             const float* s = src + r * run;
-                             for (std::int64_t i = 0; i < run; ++i) {
-                               dst[i] = s[i] + bias_v;
-                             }
-                           }
-                           return true;
-                         };
+                         kernels::ConvTileSink sink;
+                         sink.out = out.raw();
+                         return sink;
                        });
   return out;
 }
@@ -689,18 +676,9 @@ std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
         out_shape = std::move(shape);
         codes.resize(PackedCodes::stream_bytes(numel, enc.bits));
         ep.codes = codes.data();
-        // Bias-add the whole channel row into kernel scratch, run the
-        // batched epilogue (act + SIMD nearest-index search) once, then
-        // scatter codes per batch-image plane — element-for-element
-        // identical to encode_elem(ep, src[r*run+i] + bias_v, e+r*stride+i).
-        return [&ep](std::int64_t e, std::int64_t stride, std::int64_t run,
-                     std::int64_t nruns, const float* src, float bias_v) {
-          const std::int64_t count = run * nruns;
-          float* buf = kernels::detail::fused_scratch(count);
-          for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
-          return kernels::detail::encode_strided_block(ep, buf, count, e,
-                                                       stride, run);
-        };
+        kernels::ConvTileSink sink;
+        sink.ep = &ep;
+        return sink;
       });
   if (!ok) return std::nullopt;
   return PackedCodes::from_codes(std::move(codes), std::move(out_shape),

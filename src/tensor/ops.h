@@ -122,10 +122,12 @@ struct Conv2dSpec {
     const Tensor& input, const PackedCodes& weight, const Tensor* bias,
     const Conv2dSpec& spec, const ActEncodeSpec& enc);
 
-/// conv2d with coded weights AND a coded NCHW input: patches gather as
-/// codes (padding with `zero_code`, which must decode to exact +0.0f —
-/// see lut_zero_code) and both GEMM operands decode inside the kernel.
-/// Bit-identical to conv2d over the decoded tensors.
+/// conv2d with coded weights AND a coded NCHW input (8- or 16-bit codes),
+/// as an implicit GEMM: each tile gathers its patch codes straight from
+/// the input stream (padding with `zero_code`, which must decode to exact
+/// +0.0f — see lut_zero_code) and decodes both operands inside the
+/// kernel; no patch matrix is built.  Bit-identical to conv2d over the
+/// decoded tensors, for any pool size.
 [[nodiscard]] Tensor conv2d_codes_codes(const PackedCodes& input,
                                         const PackedCodes& weight,
                                         const Tensor* bias,
@@ -133,8 +135,8 @@ struct Conv2dSpec {
                                         std::uint32_t zero_code);
 
 /// Fused variant of conv2d_codes_codes: bias + act + encode applied per
-/// element in the scatter, so the [N,Cout,H',W'] output exists only as
-/// codes.  Returns nullopt when any output element is non-finite.
+/// element in the tile epilogue, so the [N,Cout,H',W'] output exists only
+/// as codes.  Returns nullopt when any output element is non-finite.
 [[nodiscard]] std::optional<PackedCodes> conv2d_codes_codes_enc(
     const PackedCodes& input, const PackedCodes& weight, const Tensor* bias,
     const Conv2dSpec& spec, std::uint32_t zero_code, const ActEncodeSpec& enc);
@@ -179,17 +181,6 @@ void scale_inplace(Tensor& a, float s);
 [[nodiscard]] Tensor im2col(const Tensor& input, std::int64_t c_begin,
                             std::int64_t c_count, std::int64_t kh,
                             std::int64_t kw, const Conv2dSpec& spec);
-
-/// im2col over a coded NCHW input: gathers codes instead of floats,
-/// padding with `zero_code` (must decode to exact +0.0f).  The result
-/// shares the input's LUT and code width; the input must be byte-aligned
-/// (8- or 16-bit codes — activation streams always are).  Exposed for
-/// testing.
-[[nodiscard]] PackedCodes im2col_codes(const PackedCodes& input,
-                                       std::int64_t c_begin,
-                                       std::int64_t c_count, std::int64_t kh,
-                                       std::int64_t kw, const Conv2dSpec& spec,
-                                       std::uint32_t zero_code);
 
 /// Output spatial size of a convolution dimension.
 [[nodiscard]] std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,

@@ -14,9 +14,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "core/lp_format.h"
 #include "core/packed_codes.h"
@@ -555,6 +561,169 @@ TEST(CodedConv, CodesCodesMatchesFloatWithPaddingAndGroups) {
     ASSERT_TRUE(bits_equal(decoded, fused_ref));
   }
 }
+
+TEST(CodedConv, TiledCodesCodesMatchesFloatAbovePoolThreshold) {
+  // Every case but the last is above the serial threshold, so the
+  // implicit-GEMM schedule splits it into column and/or row tiles; odd
+  // column counts leave partial panels and odd channel counts leave
+  // micro-kernel row tails.  The 8200-wide case has a tile straddling
+  // two long output rows, whose input region is too large to stage (the
+  // SIMD tiles fall back to the reference gather there).  The last case
+  // is a 3-byte input stream.  Results must not depend on the pool width
+  // or the activation code width.
+  PoolGuard guard;
+  const LPFormat wf(LPConfig{8, 1, 4, 0.5});
+  const LPFormat af(LPConfig{8, 2, 4, 0.0});
+  auto in_lut = build_decode_table(af);
+  ASSERT_NE(in_lut, nullptr);
+  const std::int64_t zc = lut_zero_code(*in_lut);
+  ASSERT_GE(zc, 0);
+
+  const struct {
+    std::int64_t n, c, h, w, co, k, stride, padding, groups;
+  } cases[] = {
+      {3, 8, 13, 13, 10, 3, 1, 1, 1},    // 507 columns, 10 output channels
+      {2, 4, 20, 20, 6, 3, 1, 1, 1},     // panels inside one output row
+      {3, 16, 13, 13, 14, 3, 2, 1, 2},   // strided + padded, 2 groups
+      {3, 24, 11, 11, 24, 3, 1, 1, 24},  // depthwise
+      {3, 16, 14, 14, 34, 1, 2, 0, 1},   // 1x1 stride-2 downsample
+      {3, 32, 3, 3, 70, 3, 1, 1, 1},     // 27 columns, 70 rows: row tiles
+      {1, 64, 2, 8200, 4, 1, 1, 0, 1},   // region too large to stage
+      {1, 3, 1, 1, 5, 1, 1, 0, 1},       // 3-byte input stream
+  };
+  Rng rng(2024);
+  for (const auto& t : cases) {
+    Tensor input({t.n, t.c, t.h, t.w});
+    Tensor weight({t.co, t.c / t.groups, t.k, t.k});
+    Tensor bias({t.co});
+    for (float& v : input.data()) v = static_cast<float>(rng.gaussian());
+    for (float& v : weight.data()) v = static_cast<float>(rng.gaussian());
+    for (float& v : bias.data()) v = static_cast<float>(rng.gaussian());
+    const Conv2dSpec spec{t.stride, t.padding, t.groups};
+    const CodedPair cw = code_tensor(weight, wf, 0);
+    for (const int act_bits : {8, 16}) {
+      const CodedPair ci = code_tensor(input, af, act_bits);
+      ASSERT_EQ(ci.codes->code_bits(), act_bits);
+      const ActEncodeSpec enc{af.quant_index()->view(), in_lut,
+                              PackedCodes::bits_for(in_lut->size(), act_bits),
+                              kernels::kActRelu};
+      for (const int threads : {1, 3, 8}) {
+        set_default_pool_threads(threads);
+        const Tensor ref = conv2d(ci.dense, cw.dense, &bias, spec);
+        const Tensor got = conv2d_codes_codes(
+            *ci.codes, *cw.codes, &bias, spec, static_cast<std::uint32_t>(zc));
+        ASSERT_TRUE(bits_equal(got, ref))
+            << t.c << "ch co=" << t.co << " groups=" << t.groups
+            << " bits=" << act_bits << " threads=" << threads;
+
+        const auto coded = conv2d_codes_codes_enc(
+            *ci.codes, *cw.codes, &bias, spec, static_cast<std::uint32_t>(zc),
+            enc);
+        ASSERT_TRUE(coded.has_value());
+        ASSERT_EQ(coded->code_bits(), act_bits);
+        Tensor fused_ref = relu(ref);
+        quantize_inplace(fused_ref, af);
+        Tensor decoded(coded->shape());
+        coded->decode(decoded.data());
+        ASSERT_TRUE(bits_equal(decoded, fused_ref))
+            << t.c << "ch co=" << t.co << " groups=" << t.groups
+            << " bits=" << act_bits << " threads=" << threads;
+      }
+    }
+  }
+}
+
+#if defined(__linux__)
+TEST(CodedConv, TileGathersStayInsideTheCodeStream) {
+  // The SIMD tiles load and gather patch codes with vector instructions
+  // the sanitizers do not check.  Place the input stream flush against an
+  // inaccessible page on either side: a read outside it faults.  Every
+  // table must also agree with the scalar reference bit for bit.
+  const std::int64_t page = sysconf(_SC_PAGESIZE);
+  std::vector<float> lut(300);
+  for (std::size_t i = 0; i < lut.size(); ++i) {
+    lut[i] = static_cast<float>(static_cast<int>(i % 7) - 3);
+  }
+  const std::uint32_t zero_code = 3;  // lut[3] == +0.0f
+  std::vector<float> wlut(16);
+  for (std::size_t i = 0; i < wlut.size(); ++i) {
+    wlut[i] = 0.25F * static_cast<float>(i) - 2.0F;
+  }
+  const struct {
+    std::int64_t n, c, h, k, stride, padding;
+  } shapes[] = {
+      {1, 3, 5, 3, 1, 1}, {2, 5, 7, 3, 2, 1}, {1, 9, 1, 1, 1, 0},
+      {3, 2, 6, 3, 1, 1}, {1, 1, 2, 1, 1, 0}, {2, 4, 20, 3, 1, 1},
+  };
+  constexpr std::int64_t kRows = 6;
+  for (const auto& sh : shapes) {
+    const std::int64_t ho = conv_out_dim(sh.h, sh.k, sh.stride, sh.padding);
+    const std::int64_t k = sh.c * sh.k * sh.k;
+    const std::int64_t cols = sh.n * ho * ho;
+    std::vector<std::uint8_t> wcodes(static_cast<std::size_t>(kRows * k));
+    for (std::size_t i = 0; i < wcodes.size(); ++i) {
+      wcodes[i] = static_cast<std::uint8_t>((i * 5 + 3) % 16);
+    }
+    const kernels::PackedCodesView a{wcodes.data(), 0, 8, wlut.data(), 16};
+    for (const int bits : {8, 16}) {
+      const std::int64_t numel = sh.n * sh.c * sh.h * sh.h;
+      const std::int64_t nbytes = numel * bits / 8;
+      const std::int64_t span = ((nbytes + page - 1) / page + 2) * page;
+      void* map = mmap(nullptr, static_cast<std::size_t>(span),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+      ASSERT_NE(map, MAP_FAILED);
+      auto* base = static_cast<std::uint8_t*>(map);
+      ASSERT_EQ(mprotect(base, static_cast<std::size_t>(page), PROT_NONE), 0);
+      ASSERT_EQ(mprotect(base + span - page, static_cast<std::size_t>(page),
+                         PROT_NONE),
+                0);
+      for (std::uint8_t* data : {base + page, base + span - page - nbytes}) {
+        for (std::int64_t e = 0; e < numel; ++e) {
+          const auto code = static_cast<std::uint32_t>(
+              (e * 37 + 11) % (bits == 8 ? 256 : 300));
+          kernels::packed_code_write(data, bits, e, code);
+        }
+        kernels::ConvPatchView x;
+        x.data = data;
+        x.bits = bits;
+        x.lut = lut.data();
+        x.lut_size = bits == 8 ? 256 : 300;
+        x.zero_code = zero_code;
+        x.batch = sh.n;
+        x.c_total = sh.c;
+        x.h = sh.h;
+        x.w = sh.h;
+        x.c_count = sh.c;
+        x.kh = sh.k;
+        x.kw = sh.k;
+        x.stride = sh.stride;
+        x.padding = sh.padding;
+        x.ho = ho;
+        x.wo = ho;
+        std::vector<float> ref;
+        for (const kernels::KernelTable* t : kernels::available_kernels()) {
+          std::vector<float> out(static_cast<std::size_t>(kRows * cols));
+          kernels::ConvTileSink sink;
+          sink.cout = kRows;
+          sink.out = out.data();
+          ASSERT_TRUE(t->conv_codes_codes_tile(a, x, sink, 0, kRows, 0, cols));
+          if (ref.empty()) {
+            ref = out;
+          } else {
+            ASSERT_EQ(std::memcmp(ref.data(), out.data(),
+                                  out.size() * sizeof(float)),
+                      0)
+                << t->name << " c=" << sh.c << " h=" << sh.h
+                << " bits=" << bits;
+          }
+        }
+      }
+      ASSERT_EQ(munmap(map, static_cast<std::size_t>(span)), 0);
+    }
+  }
+}
+#endif
 
 TEST(CodedOps, EncodeActsRoundTripOnOddSizes) {
   const LPFormat af(LPConfig{8, 2, 4, 0.0});

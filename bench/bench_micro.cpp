@@ -257,6 +257,40 @@ BENCHMARK(BM_ConvCodesCodes)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// Float-input, coded-weight conv with the fused relu + encode epilogue
+/// (the coded serving path's conv after a residual add, and its stem) on
+/// the default pool: Arg 0 is s0.b1.conv1 of ResNet18 (16->16 3x3 at
+/// 32x32, batch 32); Arg 1 the stem (3->16 3x3 at 32x32, batch 32).
+/// Wall-clock time, since the work runs on pool threads; items are MACs.
+void BM_ConvFloatCodes(benchmark::State& state) {
+  constexpr std::int64_t kBatch = 32, kHw = 32, kCout = 16;
+  const std::int64_t cin = state.range(0) == 0 ? 16 : 3;
+  const LPFormat wf(LPConfig{8, 1, 4, 0.0});
+  const LPFormat af(LPConfig{8, 2, 4, 0.0});
+  const auto wlut = build_decode_table(wf);
+  const auto alut = build_decode_table(af);
+  Rng rng(9);
+  Tensor in({kBatch, cin, kHw, kHw});
+  std::vector<float> w(static_cast<std::size_t>(kCout * cin * 9));
+  for (auto& v : in.data()) v = static_cast<float>(rng.gaussian());
+  for (auto& v : w) v = static_cast<float>(rng.gaussian(0.0, 0.1));
+  const auto wt = PackedCodes::pack(w, {kCout, cin, 3, 3}, wf, wlut);
+  const ActEncodeSpec enc{af.quant_index()->view(), alut,
+                          PackedCodes::bits_for(alut->size(), 8),
+                          kernels::kActRelu};
+  const Conv2dSpec spec{1, 1, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv2d_codes_enc(in, *wt, nullptr, spec, enc));
+  }
+  state.SetItemsProcessed(state.iterations() * kCout * cin * 9 * kBatch *
+                          kHw * kHw);
+}
+BENCHMARK(BM_ConvFloatCodes)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // --- kernel-dispatch benches ---------------------------------------------
 // Direct kernel-table calls, no thread pool: the scalar reference (naive
 // row loop) against the blocked/register-tiled SIMD variants.  Outputs are
@@ -320,8 +354,9 @@ LPConfig bench_cfg(int n) {
 }
 
 /// Mid-stack ResNet conv-as-GEMM shape with the *weight* matrix as the
-/// coded A operand — the exact layout conv2d_codes executes.  `coded` Arg
-/// 0 runs the float kernel on the decoded weights: the apples-to-apples
+/// coded A operand, run through the conv tile as a 1x1 conv over a float
+/// [1, k, 1, n] input — the kernel conv2d_codes executes.  `coded` Arg 0
+/// runs the float kernel on the decoded weights: the apples-to-apples
 /// baseline, since quantized weights carry structural zeros whose skip
 /// branch costs both paths identically.
 void run_gemm_codes_bench(benchmark::State& state,
@@ -342,9 +377,22 @@ void run_gemm_codes_bench(benchmark::State& state,
   for (std::size_t i = 0; i < wq.size(); ++i) {
     wq[i] = packed->decode_at(static_cast<std::int64_t>(i));
   }
+  kernels::ConvPatchView x;
+  x.data = reinterpret_cast<const std::uint8_t*>(b.data());
+  x.bits = 32;
+  x.batch = 1;
+  x.c_total = k;
+  x.h = 1;
+  x.w = n;
+  x.c_count = k;
+  x.ho = 1;
+  x.wo = n;
+  kernels::ConvTileSink sink;
+  sink.cout = m;
+  sink.out = c.data();
   for (auto _ : state) {
     if (coded) {
-      kt.gemm_codes_rows(view, b.data(), nullptr, c.data(), 0, m, k, n);
+      (void)kt.conv_codes_tile(view, x, sink, 0, m, 0, n);
     } else {
       kt.gemm_rows(wq.data(), b.data(), nullptr, c.data(), 0, m, k, n);
     }

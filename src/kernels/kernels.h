@@ -162,16 +162,6 @@ struct ActEncode {
   int act = kActNone;
 };
 
-/// GEMM row-block kernel with a *coded* A operand (the conv-as-GEMM
-/// layout, where the weight matrix is A): C[i,:] = bias + decode(A)[i,:]
-/// * B, same shapes and accumulation contract as GemmRowsFn.  Decoding
-/// happens inside the datapath; the result is bit-identical to expanding
-/// A through the LUT and calling gemm_rows.
-using GemmCodesRowsFn = void (*)(const PackedCodesView& a, const float* b,
-                                 const float* bias, float* c,
-                                 std::int64_t row_begin, std::int64_t row_end,
-                                 std::int64_t k, std::int64_t n);
-
 /// GEMM row-block kernel against a *coded* B^T operand (the
 /// linear/attention layout, B [n,k] row-major holding W), plus an
 /// optional fused encode epilogue: C[i,:] = bias + A[i,:] * decode(B)^T,
@@ -190,17 +180,19 @@ using GemmCodesNtRowsFn = bool (*)(const float* a, const PackedCodesView& b,
                                    std::int64_t row_end, std::int64_t k,
                                    std::int64_t n);
 
-/// Implicit-GEMM patch operand of the both-coded convolution.  The patch
-/// matrix B[k, col] of one group is never materialized: element (p, col),
-/// with p = (cc * kh + ky) * kw + kx and col = (b * ho + oy) * wo + ox, is
-/// the input code at (b, c_begin + cc, oy * stride - padding + ky,
-/// ox * stride - padding + kx) of the NCHW stream `data`, or `zero_code`
-/// where that position lies in the padding.  Codes are 8- or 16-bit
-/// (activation streams are byte-aligned) and decode through `lut`.
+/// Implicit-GEMM patch operand of the coded-weight convolution.  The
+/// patch matrix B[k, col] of one group is never materialized: element
+/// (p, col), with p = (cc * kh + ky) * kw + kx and
+/// col = (b * ho + oy) * wo + ox, is the input element at
+/// (b, c_begin + cc, oy * stride - padding + ky, ox * stride - padding +
+/// kx) of the NCHW stream `data`, or exact +0.0f where that position lies
+/// in the padding.  The stream holds 8- or 16-bit codes decoding through
+/// `lut` (activation streams are byte-aligned; padding decodes
+/// `zero_code`), or — with bits == 32 and lut == nullptr — plain floats.
 struct ConvPatchView {
   const std::uint8_t* data = nullptr;  ///< element 0 of the NCHW stream
-  int bits = 8;                        ///< 8 or 16
-  const float* lut = nullptr;
+  int bits = 8;                        ///< 8 or 16 (codes), 32 (floats)
+  const float* lut = nullptr;          ///< nullptr for a float stream
   std::uint32_t lut_size = 0;
   std::uint32_t zero_code = 0;  ///< padding code; decodes to exact +0.0f
   std::int64_t batch = 0;       ///< input geometry [batch, c_total, h, w]
@@ -215,6 +207,15 @@ struct ConvPatchView {
   std::int64_t padding = 0;
   std::int64_t ho = 0;  ///< output spatial size
   std::int64_t wo = 0;
+
+  [[nodiscard]] const float* floats() const {
+    return reinterpret_cast<const float*>(data);
+  }
+  /// The value padding positions read: +0.0f for a float stream,
+  /// lut[zero_code] (exact +0.0f by contract) for a code stream.
+  [[nodiscard]] float pad_value() const {
+    return lut != nullptr ? lut[zero_code] : 0.0F;
+  }
 };
 
 /// Where a conv tile's finished elements go.  Element (row, col) of the
@@ -231,19 +232,19 @@ struct ConvTileSink {
   const ActEncode* ep = nullptr;
 };
 
-/// Implicit-GEMM tile of the both-coded convolution: rows [r0, r1) of
+/// Implicit-GEMM tile of the coded-weight convolution: rows [r0, r1) of
 /// the group's coded weight matrix `a` ([m, k], weight LUT) times
-/// columns [c0, c1) of the patch operand `x`, finished into `sink`.  The
-/// kernel reads patch codes straight from the input stream, decoding each
-/// input code it reads once, fills one column panel at a time and sweeps
-/// every tile row over it; no patch matrix, result buffer or scatter
-/// pass exists.  Each
-/// element keeps the float conv's exact sequence (double accumulator
-/// seeded 0, ascending-k mul-then-add with zero A entries skipped, round
-/// to float, + bias_v, act, nearest index), so tiles are independent and
-/// any tiling gives the same bits.  Returns false when the encode sink
-/// met a non-finite element (the rest of the tile still runs); the float
-/// sink always returns true.
+/// columns [c0, c1) of the patch operand `x` (codes or floats), finished
+/// into `sink`.  The kernel reads patch elements straight from the input
+/// stream, decoding (or copying) each input element it reads once, fills
+/// one column panel at a time and sweeps every tile row over it; no
+/// patch matrix, result buffer or scatter pass exists.  Each element
+/// keeps the float conv's exact sequence (double accumulator seeded 0,
+/// ascending-k mul-then-add with zero A entries skipped, round to float,
+/// + bias_v, act, nearest index), so tiles are independent and any
+/// tiling gives the same bits.  Returns false when the encode sink met a
+/// non-finite element (the rest of the tile still runs); the float sink
+/// always returns true.
 using ConvCodesTileFn = bool (*)(const PackedCodesView& a,
                                  const ConvPatchView& x,
                                  const ConvTileSink& sink, std::int64_t r0,
@@ -285,9 +286,8 @@ struct KernelTable {
   const char* name;  ///< "scalar", "avx2", ... (the LP_KERNEL spelling)
   GemmRowsFn gemm_rows;
   GemmRowsFn gemm_nt_rows;
-  GemmCodesRowsFn gemm_codes_rows;
   GemmCodesNtRowsFn gemm_codes_nt_rows;
-  ConvCodesTileFn conv_codes_codes_tile;
+  ConvCodesTileFn conv_codes_tile;
   GemmCodesCodesNtRowsFn gemm_codes_codes_nt_rows;
   QuantizeChunkFn quantize_chunk;
   NearestIndicesFn nearest_indices;

@@ -184,26 +184,6 @@ void decode_elems_avx2(const PackedCodesView& v, std::int64_t elem_begin,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM with a coded A operand (conv-as-GEMM; the weight matrix is A).
-// The A row block is LUT-expanded once per call (SIMD decode, O(rows*k));
-// re-decoding per 8-column panel would multiply the nibble-extraction
-// cost by n/8.  The expanded floats are exactly what the float kernel
-// reads from its A tensor, so delegating to gemm_rows_avx2 — edge tiles
-// included — is bit-identical to decode-then-gemm by the decode contract,
-// and keeps a single copy of the pack/tile heuristics.
-
-void gemm_codes_rows_avx2(const PackedCodesView& a, const float* b,
-                          const float* bias, float* c, std::int64_t row_begin,
-                          std::int64_t row_end, std::int64_t k,
-                          std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx2(a, row_begin * k, rows * k, a_block.data());
-  gemm_rows_avx2(a_block.data(), b, bias, c + row_begin * n, 0, rows, k, n);
-}
-
-// ---------------------------------------------------------------------------
 // GEMM with a coded B^T operand (linear/attention layout; B [n,k] holds W
 // as codes).  Per 8-column panel the 8 coded B rows are LUT-expanded once
 // into a packed float panel, then every A row of the block sweeps it with
@@ -280,17 +260,18 @@ bool gemm_codes_nt_rows_avx2(const float* a, const PackedCodesView& b,
 }
 
 // ---------------------------------------------------------------------------
-// Both operands coded, conv layout: the implicit-GEMM tile.  The weight
-// rows and the input region the tile reads are LUT-decoded once; then
-// each 8-column panel is filled from the region (padding lanes take
-// lut[zero_code]) and every tile row sweeps it with gemm_micro.  The
-// decoded floats equal the float path's operands by the decode contract,
-// so gemm_micro sees the identical IEEE operation sequence.
+// Coded weights, conv layout: the implicit-GEMM tile.  The weight rows
+// are LUT-decoded once and the input region the tile reads is staged
+// once (LUT-decoded codes, or copied floats); then each 8-column panel is
+// filled from the region (padding lanes take +0.0f) and every tile row
+// sweeps it with gemm_micro.  The staged floats equal the float path's
+// operands by the decode contract, so gemm_micro sees the identical IEEE
+// operation sequence.
 
-/// Panel fill from the tile's decoded input region: lane l of patch row
+/// Panel fill from the tile's staged input region: lane l of patch row
 /// p = (cc, ky, kx) gathers region[off[l] + cc * rows * row_len + ky *
 /// row_len + kx]; padding lanes are masked off the gather and take
-/// lut[zero_code].
+/// x.pad_value().
 void fill_panel_avx2(const ConvPatchView& x, const detail::ConvRegion& rg,
                      const float* region, const detail::ConvPanelCols& pc,
                      float* panel) {
@@ -308,7 +289,7 @@ void fill_panel_avx2(const ConvPatchView& x, const detail::ConvRegion& rg,
   const __m256i off0 = load8(off);
   const __m256i iy0 = load8(iy);
   const __m256i ix0 = load8(ix);
-  const __m256 zv = _mm256_set1_ps(x.lut[x.zero_code]);
+  const __m256 zv = _mm256_set1_ps(x.pad_value());
   const __m256i neg1 = _mm256_set1_epi32(-1);
   const __m256i vh = _mm256_set1_epi32(static_cast<int>(x.h));
   const __m256i vw = _mm256_set1_epi32(static_cast<int>(x.w));
@@ -335,11 +316,9 @@ void fill_panel_avx2(const ConvPatchView& x, const detail::ConvRegion& rg,
   }
 }
 
-bool conv_codes_codes_tile_avx2(const PackedCodesView& a,
-                                const ConvPatchView& x,
-                                const ConvTileSink& sink, std::int64_t r0,
-                                std::int64_t r1, std::int64_t c0,
-                                std::int64_t c1) {
+bool conv_codes_tile_avx2(const PackedCodesView& a, const ConvPatchView& x,
+                          const ConvTileSink& sink, std::int64_t r0,
+                          std::int64_t r1, std::int64_t c0, std::int64_t c1) {
   const std::int64_t k = x.c_count * x.kh * x.kw;
   const std::int64_t rows = r1 - r0;
   if (rows <= 0 || c1 <= c0) return true;
@@ -545,9 +524,8 @@ const KernelTable* avx2_kernels_impl() {
   static constexpr KernelTable kTable{"avx2",
                                       gemm_rows_avx2,
                                       gemm_nt_rows_avx2,
-                                      gemm_codes_rows_avx2,
                                       gemm_codes_nt_rows_avx2,
-                                      conv_codes_codes_tile_avx2,
+                                      conv_codes_tile_avx2,
                                       gemm_codes_codes_nt_rows_avx2,
                                       quantize_chunk_avx2,
                                       nearest_indices_avx2};

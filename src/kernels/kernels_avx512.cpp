@@ -169,22 +169,6 @@ void decode_elems_avx512(const PackedCodesView& v, std::int64_t elem_begin,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM with a coded A operand (conv-as-GEMM).  Decode the A row block
-// once, then delegate to the float kernel — bit-identical to
-// decode-then-gemm by the decode contract.
-
-void gemm_codes_rows_avx512(const PackedCodesView& a, const float* b,
-                            const float* bias, float* c,
-                            std::int64_t row_begin, std::int64_t row_end,
-                            std::int64_t k, std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx512(a, row_begin * k, rows * k, a_block.data());
-  gemm_rows_avx512(a_block.data(), b, bias, c + row_begin * n, 0, rows, k, n);
-}
-
-// ---------------------------------------------------------------------------
 // GEMM with a coded B^T operand (linear/attention layout).  Per 16-column
 // panel the 16 coded B rows are LUT-expanded once, then every A row of
 // the block sweeps them with the exact double-lane accumulation.
@@ -257,12 +241,12 @@ bool gemm_codes_nt_rows_avx512(const float* a, const PackedCodesView& b,
 }
 
 // ---------------------------------------------------------------------------
-// Both operands coded, conv layout: the implicit-GEMM tile.  The weight
-// rows and the input region the tile reads are LUT-decoded once; then
-// each 16-column panel is filled from the region (padding lanes take
-// lut[zero_code]) and every tile row sweeps it with gemm_micro — the
-// same loads and IEEE operation sequence as the float conv's GEMM over
-// decoded operands.
+// Coded weights, conv layout: the implicit-GEMM tile.  The weight rows
+// are LUT-decoded once and the input region the tile reads is staged
+// once (LUT-decoded codes, or copied floats); then each 16-column panel
+// is filled from the region (padding lanes take +0.0f) and every tile
+// row sweeps it with gemm_micro — the same loads and IEEE operation
+// sequence as the float conv's GEMM over decoded operands.
 
 /// 16 int64 lanes truncated to int32 (exact for the coordinates of any
 /// input the conv can address).
@@ -272,9 +256,9 @@ __m512i narrow_lanes(const std::int64_t* v) {
       _mm512_cvtepi64_epi32(_mm512_loadu_si512(v + 8)), 1);
 }
 
-/// Panel fill from the tile's decoded input region: lane l of patch row
+/// Panel fill from the tile's staged input region: lane l of patch row
 /// p = (cc, ky, kx) reads region[off[l] + cc * rows * row_len + ky *
-/// row_len + kx], or lut[zero_code] where the position is padding.  When a
+/// row_len + kx], or x.pad_value() where the position is padding.  When a
 /// panel's live lanes sit in one output row of a stride-1 conv their
 /// reads are consecutive, and one masked load (masked-off lanes are never
 /// accessed) replaces the gather.
@@ -284,7 +268,7 @@ void fill_panel_avx512(const ConvPatchView& x, const detail::ConvRegion& rg,
   alignas(64) std::int32_t off[16];
   detail::conv_region_lanes(x, rg, pc, 16, off);
   const __m512i off0 = _mm512_load_si512(off);
-  const __m512 zv = _mm512_set1_ps(x.lut[x.zero_code]);
+  const __m512 zv = _mm512_set1_ps(x.pad_value());
   const __m512i vh = _mm512_set1_epi32(static_cast<int>(x.h));
   const __m512i vw = _mm512_set1_epi32(static_cast<int>(x.w));
   const __m512i iy0 = narrow_lanes(pc.iy);
@@ -326,11 +310,10 @@ void fill_panel_avx512(const ConvPatchView& x, const detail::ConvRegion& rg,
   }
 }
 
-bool conv_codes_codes_tile_avx512(const PackedCodesView& a,
-                                  const ConvPatchView& x,
-                                  const ConvTileSink& sink, std::int64_t r0,
-                                  std::int64_t r1, std::int64_t c0,
-                                  std::int64_t c1) {
+bool conv_codes_tile_avx512(const PackedCodesView& a,
+                            const ConvPatchView& x, const ConvTileSink& sink,
+                            std::int64_t r0, std::int64_t r1, std::int64_t c0,
+                            std::int64_t c1) {
   const std::int64_t k = x.c_count * x.kh * x.kw;
   const std::int64_t rows = r1 - r0;
   if (rows <= 0 || c1 <= c0) return true;
@@ -530,9 +513,8 @@ const KernelTable* avx512_kernels_impl() {
   static constexpr KernelTable kTable{"avx512",
                                       gemm_rows_avx512,
                                       gemm_nt_rows_avx512,
-                                      gemm_codes_rows_avx512,
                                       gemm_codes_nt_rows_avx512,
-                                      conv_codes_codes_tile_avx512,
+                                      conv_codes_tile_avx512,
                                       gemm_codes_codes_nt_rows_avx512,
                                       quantize_chunk_avx512,
                                       nearest_indices_avx512};

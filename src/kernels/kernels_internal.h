@@ -27,16 +27,6 @@ void gemm_nt_ref_block(const float* a, const float* b, const float* bias,
                        std::int64_t col_begin, std::int64_t col_end,
                        std::int64_t k, std::int64_t n);
 
-/// Reference for a coded A operand (conv-as-GEMM: the weight matrix is
-/// A): decode each A element through the view's LUT at the point of use,
-/// otherwise gemm_ref_block's exact arithmetic sequence (double
-/// accumulator, ascending-k, zero decoded values skipped).
-void gemm_codes_ref_block(const PackedCodesView& a, const float* b,
-                          const float* bias, float* c, std::int64_t row_begin,
-                          std::int64_t row_end, std::int64_t col_begin,
-                          std::int64_t col_end, std::int64_t k,
-                          std::int64_t n);
-
 /// Reference for a coded B^T operand (linear/attention: B [n,k] row-major
 /// holds W as codes); same accumulation contract as gemm_nt_ref_block.
 void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
@@ -65,10 +55,11 @@ void conv_panel_cols(const ConvPatchView& x, std::int64_t cout,
                      std::int64_t c0, int lanes, int width,
                      ConvPanelCols& pc);
 
-/// Reference patch gather: panel[p * width + l] = the decoded patch
-/// element (p, lane l) for every p in [0, k), padding positions decoding
-/// x.zero_code.  The scalar table's gather, and the SIMD tables' fallback
-/// for tiles whose input region is too large to stage.
+/// Reference patch gather: panel[p * width + l] = the patch element
+/// (p, lane l) for every p in [0, k) — a decoded code or a float, padding
+/// positions reading x.pad_value().  The scalar table's gather, and the
+/// SIMD tables' fallback for tiles whose input region is too large to
+/// stage.
 void conv_gather_panel(const ConvPatchView& x, const ConvPanelCols& pc,
                        int width, float* panel);
 
@@ -76,10 +67,10 @@ void conv_gather_panel(const ConvPatchView& x, const ConvPanelCols& pc,
 /// the group's c_count channels: flattened input rows f = img * h + iy in
 /// [f0, f0 + rows), columns [x0, x0 + row_len).  A tile inside one output
 /// row reads only its columns' receptive field; a tile spanning output
-/// rows reads whole input rows.  Staged decoded as
+/// rows reads whole input rows.  Staged as floats in
 /// region[(cc * rows + f - f0) * row_len + ix - x0], so a SIMD tile
-/// LUT-decodes each input element it reads once, not once per patch
-/// position that covers it.
+/// LUT-decodes (or copies) each input element it reads once, not once
+/// per patch position that covers it.
 struct ConvRegion {
   std::int64_t f0 = 0;
   std::int64_t rows = 0;
@@ -103,9 +94,10 @@ using DecodeElemsFn = void (*)(const PackedCodesView& v,
                                std::int64_t elem_begin, std::int64_t count,
                                float* dst);
 
-/// Decode the tile's input region into `region` (rg.floats(x.c_count)
-/// floats) through `decode`: one call per channel and image, or per input
-/// row when the region is narrower than the input.
+/// Stage the tile's input region into `region` (rg.floats(x.c_count)
+/// floats): one `decode` call per channel and image, or per input row
+/// when the region is narrower than the input; a float stream copies the
+/// same runs instead.  Reads exactly the region's elements.
 void conv_decode_region(const ConvPatchView& x, const ConvRegion& rg,
                         DecodeElemsFn decode, float* region);
 
@@ -135,8 +127,9 @@ bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
 /// Encode one finished output element for the fused epilogue: apply
 /// ep.act, nearest-index through ep.qidx, write the code at element e of
 /// ep.codes.  Returns false (and writes nothing) when the activated value
-/// is non-finite.  Out-of-line in the scalar TU so every kernel table
-/// shares one compiled encoder.
+/// is non-finite.  The per-element definition the batched encoders
+/// (encode_row_block, the conv tile's encode sink) must match;
+/// tests/test_act_codes.cpp pins them to it on every table.
 bool encode_elem(const ActEncode& ep, float v, std::int64_t e);
 
 /// Fused epilogue over a finished row block: apply ep.act to src[0..count)
@@ -154,14 +147,6 @@ bool encode_row_block(const ActEncode& ep, const float* src,
 /// wrappers): applies ep.act in place, skipping the staging copy.
 bool encode_scratch_block(const ActEncode& ep, float* scratch,
                           std::int64_t elem_begin, std::int64_t count);
-
-/// encode_scratch_block for strided destinations (the conv scatter):
-/// scratch[0..count) encodes as count/run runs of `run` codes, run r
-/// landing at elements [e0 + r*stride, e0 + r*stride + run).  One act +
-/// nearest-index batch covers the whole block; only the code writes jump.
-bool encode_strided_block(const ActEncode& ep, float* scratch,
-                          std::int64_t count, std::int64_t e0,
-                          std::int64_t stride, std::int64_t run);
 
 /// Thread-local float scratch sized for a fused row block — the GEMM
 /// writes every element before the epilogue reads it, so the buffer is

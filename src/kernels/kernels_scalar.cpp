@@ -65,37 +65,6 @@ void gemm_nt_ref_block(const float* a, const float* b, const float* bias,
   }
 }
 
-void gemm_codes_ref_block(const PackedCodesView& a, const float* b,
-                          const float* bias, float* c, std::int64_t row_begin,
-                          std::int64_t row_end, std::int64_t col_begin,
-                          std::int64_t col_end, std::int64_t k,
-                          std::int64_t n) {
-  const std::int64_t w = col_end - col_begin;
-  if (w <= 0 || row_end <= row_begin) return;
-  std::vector<double> acc(static_cast<std::size_t>(w));
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] = bias[col_begin + j];
-      }
-    } else {
-      std::fill(acc.begin(), acc.end(), 0.0);
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const double av = packed_decode_at(a, i * k + p);
-      if (av == 0.0) continue;
-      const float* brow = b + p * n + col_begin;
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] += av * brow[j];
-      }
-    }
-    float* crow = c + i * n + col_begin;
-    for (std::int64_t j = 0; j < w; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
-    }
-  }
-}
-
 void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
                              const float* bias, float* c,
                              std::int64_t row_begin, std::int64_t row_end,
@@ -204,20 +173,6 @@ bool encode_scratch_block(const ActEncode& ep, float* scratch,
   return encode_activated_block(ep, scratch, elem_begin, count);
 }
 
-bool encode_strided_block(const ActEncode& ep, float* scratch,
-                          std::int64_t count, std::int64_t e0,
-                          std::int64_t stride, std::int64_t run) {
-  if (ep.act != kActNone) {
-    act_apply_dyn(ep.act, scratch, scratch, count);
-  }
-  const std::uint32_t* idx = activated_indices(ep, scratch, count);
-  bool ok = true;
-  for (std::int64_t r = 0; r * run < count; ++r) {
-    ok = write_codes(ep, idx + r * run, e0 + r * stride, run) && ok;
-  }
-  return ok;
-}
-
 bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
                       float* vals, int width, std::int64_t r0,
                       std::int64_t rows, const ConvPanelCols& pc, int lanes) {
@@ -297,6 +252,7 @@ void conv_panel_cols(const ConvPatchView& x, std::int64_t cout,
 void conv_gather_panel(const ConvPatchView& x, const ConvPanelCols& pc,
                        int width, float* panel) {
   const PackedCodesView v{x.data, 0, x.bits, x.lut, x.lut_size};
+  const float pad = x.pad_value();
   for (std::int64_t cc = 0; cc < x.c_count; ++cc) {
     for (std::int64_t ky = 0; ky < x.kh; ++ky) {
       for (std::int64_t kx = 0; kx < x.kw; ++kx) {
@@ -308,7 +264,9 @@ void conv_gather_panel(const ConvPatchView& x, const ConvPanelCols& pc,
           const std::int64_t e =
               ((pc.img[l] * x.c_total + x.c_begin + cc) * x.h + iy) * x.w +
               ix;
-          dst[l] = x.lut[inside ? packed_code_at(v, e) : x.zero_code];
+          dst[l] = !inside             ? pad
+                   : x.lut == nullptr ? x.floats()[e]
+                                      : x.lut[packed_code_at(v, e)];
         }
       }
     }
@@ -355,7 +313,11 @@ void conv_decode_region(const ConvPatchView& x, const ConvRegion& rg,
                             : 1;
       const std::int64_t e =
           ((b * x.c_total + x.c_begin + cc) * x.h + iy) * x.w + rg.x0;
-      decode(v, e, run * rg.row_len, dst);
+      if (x.lut == nullptr) {
+        std::copy_n(x.floats() + e, run * rg.row_len, dst);
+      } else {
+        decode(v, e, run * rg.row_len, dst);
+      }
       dst += run * rg.row_len;
       f += run;
     }
@@ -421,13 +383,6 @@ void gemm_nt_rows_scalar(const float* a, const float* b, const float* bias,
   detail::gemm_nt_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
 }
 
-void gemm_codes_rows_scalar(const PackedCodesView& a, const float* b,
-                            const float* bias, float* c,
-                            std::int64_t row_begin, std::int64_t row_end,
-                            std::int64_t k, std::int64_t n) {
-  detail::gemm_codes_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
-}
-
 void gemm_codes_nt_float(const float* a, const PackedCodesView& b,
                          const float* bias, float* c, std::int64_t row_begin,
                          std::int64_t row_end, std::int64_t k,
@@ -475,11 +430,10 @@ bool gemm_codes_nt_rows_scalar(const float* a, const PackedCodesView& b,
                                   rows * n);
 }
 
-bool conv_codes_codes_tile_scalar(const PackedCodesView& a,
-                                  const ConvPatchView& x,
-                                  const ConvTileSink& sink, std::int64_t r0,
-                                  std::int64_t r1, std::int64_t c0,
-                                  std::int64_t c1) {
+bool conv_codes_tile_scalar(const PackedCodesView& a, const ConvPatchView& x,
+                            const ConvTileSink& sink, std::int64_t r0,
+                            std::int64_t r1, std::int64_t c0,
+                            std::int64_t c1) {
   constexpr int kWidth = 16;
   const std::int64_t k = x.c_count * x.kh * x.kw;
   const std::int64_t rows = r1 - r0;
@@ -582,9 +536,8 @@ const KernelTable& scalar_kernels() {
   static constexpr KernelTable kTable{"scalar",
                                       gemm_rows_scalar,
                                       gemm_nt_rows_scalar,
-                                      gemm_codes_rows_scalar,
                                       gemm_codes_nt_rows_scalar,
-                                      conv_codes_codes_tile_scalar,
+                                      conv_codes_tile_scalar,
                                       gemm_codes_codes_nt_rows_scalar,
                                       quantize_chunk_scalar,
                                       nearest_indices_scalar};

@@ -62,6 +62,17 @@ ForwardResult Model::run(const Tensor& input, RunCtx ctx,
     in_ptrs.clear();
     for (int in : n.inputs()) in_ptrs.push_back(&outputs[static_cast<std::size_t>(in)]);
     outputs[i] = n.run(in_ptrs, ctx);
+    // Weighted nodes account their own outputs; count the rest here.
+    if (ctx.act_traffic != nullptr && n.slots_const().empty()) {
+      const NodeValue& out = outputs[i];
+      if (out.codes() != nullptr) {
+        ctx.act_traffic->coded_bytes +=
+            static_cast<std::int64_t>(out.codes()->payload_bytes());
+      } else {
+        ctx.act_traffic->float_bytes +=
+            out.dense().numel() * static_cast<std::int64_t>(sizeof(float));
+      }
+    }
     // Drop values whose last consumer has executed (liveness).
     for (int in : n.inputs()) {
       if (last_use_[static_cast<std::size_t>(in)] == static_cast<int>(i) && in != 0) {

@@ -101,10 +101,12 @@ struct ActCoding {
   int bits = 8;  ///< 8 or 16 (byte-aligned activation streams)
 };
 
-/// Activation-traffic accounting for one forward pass: bytes of
-/// inter-layer activation each weighted node produced, in whichever
-/// representation it produced them.  Node execution is serial, so plain
-/// fields suffice.
+/// Activation-traffic accounting for one forward pass: bytes of every
+/// edge a node produced, in whichever representation it produced them —
+/// weighted nodes count their own outputs (coded or float), Model::run
+/// counts the outputs of the rest (residual adds, pools, token ops),
+/// each edge once.  The model input is not an edge.  Node execution is
+/// serial, so plain fields suffice.
 struct ActTraffic {
   std::int64_t float_bytes = 0;  ///< activations produced as float32
   std::int64_t coded_bytes = 0;  ///< activations produced as packed codes
@@ -146,13 +148,13 @@ struct RunCtx {
   /// float tensor — bit-identical under decode to the quantized float
   /// activations.
   std::span<const ActCoding> act_coding;
-  /// When non-null, weighted nodes account the activation bytes they
-  /// produced (coded or float).
+  /// When non-null, every node's output bytes are accounted here (coded
+  /// or float; see ActTraffic).
   ActTraffic* act_traffic = nullptr;
   /// Multiply semantics for the coded-B^T GEMMs (linear / attention /
   /// patch-merge): kExact is the bit-identical IEEE path, kPlam the
   /// opt-in log-domain approximate multiply.  Convolution always runs
-  /// exact (its GroupGemm layout has no approximate kernel).
+  /// exact (the conv tile has no approximate kernel).
   kernels::ApproxMode approx = kernels::ApproxMode::kExact;
   /// When true, weighted nodes with coded weights and a coded output
   /// spec fuse GEMM→bias→act→encode in one kernel pass even when their

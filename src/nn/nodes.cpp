@@ -173,7 +173,7 @@ NodeValue Conv2dNode::run(std::span<const NodeValue* const> x,
       icodes != nullptr ? lut_zero_code(*icodes->lut()) : -1;
 
   // Fully coded: coded weights x coded patches with the fused
-  // bias+act+encode scatter — the output never materializes as floats.
+  // bias+act+encode tile epilogue — the output never materializes as floats.
   if (codes != nullptr && icodes != nullptr && zc >= 0 && coding != nullptr) {
     auto out = conv2d_codes_codes_enc(
         *icodes, *codes, bias, spec_, static_cast<std::uint32_t>(zc),
@@ -184,7 +184,7 @@ NodeValue Conv2dNode::run(std::span<const NodeValue* const> x,
     }
   }
   // Float input (or a LUT without a padding zero), coded weights, coded
-  // output: fuse bias+act+encode into the conv scatter so the output
+  // output: fuse bias+act+encode into the conv tile so the output
   // skips the float round-trip even though the input arrived dense.
   if (codes != nullptr && !(icodes != nullptr && zc >= 0) &&
       coding != nullptr && ctx.fuse) {

@@ -59,18 +59,6 @@ void gemm_parallel(const float* a, const float* b, const float* bias, float* c,
                  });
 }
 
-/// gemm_parallel with a packed-code A operand (the conv weight layout):
-/// same pool split, the kernel LUT-decodes A inside the row block.
-void gemm_codes_parallel(const kernels::PackedCodesView& a, const float* b,
-                         const float* bias, float* c, std::int64_t m,
-                         std::int64_t k, std::int64_t n) {
-  const kernels::KernelTable& kt = kernels::dispatch();
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_codes_rows(a, b, bias, c, row_begin, row_end, k, n);
-                 });
-}
-
 /// Shared serial/parallel split for the coded-B^T GEMMs.  The nt kernels
 /// decode the whole B operand per row-block call (O(n*k)); a block must
 /// carry enough A rows to amortize that, or a short A split into one-row
@@ -342,245 +330,140 @@ Tensor im2col(const Tensor& input, std::int64_t c_begin, std::int64_t c_count,
 
 namespace {
 
-/// Shared conv2d body for float and packed-code weights: im2col per
-/// group, one GEMM per group via `group_gemm(g, k, cols, result)` (which
-/// computes result[cg_out, col_width] = W_g * cols), then a scatter whose
-/// strided sink comes from `make_write(out_shape)`: write(e, stride, run,
-/// nruns, src, bias_v) lands contiguous src[r*run + i] + bias_v at output
-/// element e + r*stride + i (one call covers a full output channel — the
-/// GEMM row is contiguous across the batch, destinations stride by one
-/// NCHW plane) — the plain variants write floats into an NCHW tensor, the
-/// fused variant batch-encodes through the epilogue.
-/// `wd` is the weight's [Cout, Cin/groups, kh, kw] shape — the storage
-/// forms share it, and everything outside the GEMM call and the sink is
-/// identical, so the coded paths are bit-identical by construction.
-/// Returns whether every sink call succeeded (all groups still run).
-template <typename GroupGemm, typename MakeWrite>
-bool conv2d_core(const Tensor& input, const std::int64_t (&wd)[4],
-                 const Tensor* bias, const Conv2dSpec& spec,
-                 GroupGemm&& group_gemm, MakeWrite&& make_write) {
-  LP_CHECK(input.rank() == 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t cin = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t cout = wd[0];
-  const std::int64_t kh = wd[2];
-  const std::int64_t kw = wd[3];
+/// Checks shared by every conv entry point: NCHW input [n, cin, h, w]
+/// against a [cout, cin/groups, kh, kw] weight and an optional [cout]
+/// bias.
+void check_conv(const std::vector<std::int64_t>& in,
+                const std::vector<std::int64_t>& wd, const Tensor* bias,
+                const Conv2dSpec& spec) {
+  LP_CHECK(in.size() == 4 && wd.size() == 4);
   LP_CHECK(spec.groups >= 1);
-  LP_CHECK_MSG(cin % spec.groups == 0 && cout % spec.groups == 0,
+  LP_CHECK_MSG(in[1] % spec.groups == 0 && wd[0] % spec.groups == 0,
                "groups must divide channels");
-  LP_CHECK_MSG(wd[1] == cin / spec.groups,
+  LP_CHECK_MSG(wd[1] == in[1] / spec.groups,
                "weight Cin/groups mismatch: " << wd[1] << " vs "
-                                              << cin / spec.groups);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == cout);
-
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t cg_in = cin / spec.groups;
-  const std::int64_t cg_out = cout / spec.groups;
-  const std::int64_t col_width = n * ho * wo;
-
-  auto write = make_write(std::vector<std::int64_t>{n, cout, ho, wo});
-  std::atomic<bool> ok{true};
-  for (std::int64_t g = 0; g < spec.groups; ++g) {
-    const Tensor cols = im2col(input, g * cg_in, cg_in, kh, kw, spec);
-    const std::int64_t k = cg_in * kh * kw;
-    // result[cg_out, col_width] = W_g * cols
-    std::vector<float> result(static_cast<std::size_t>(cg_out * col_width), 0.0F);
-    group_gemm(g, k, cols, result.data(), cg_out, col_width);
-    // Scatter back into NCHW (columns are ordered batch-major per im2col).
-    // Output channels write disjoint planes — parallel over oc.
-    auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
-                       std::int64_t) {
-      bool block_ok = true;
-      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        const float bias_v = (bias != nullptr) ? (*bias)[g * cg_out + oc] : 0.0F;
-        const float* rrow = result.data() + oc * col_width;
-        const std::int64_t base = (g * cg_out + oc) * ho * wo;
-        block_ok = write(base, cout * ho * wo, ho * wo, n, rrow, bias_v) &&
-                   block_ok;
-      }
-      if (!block_ok) ok.store(false, std::memory_order_relaxed);
-    };
-    for_row_blocks(cg_out * col_width, kRowsSerialBelow, cg_out, scatter);
-  }
-  return ok.load(std::memory_order_relaxed);
-}
-
-/// Sink factory writing raw floats into a fresh NCHW tensor — the plain
-/// (unfused) conv2d output path.
-auto tensor_sink(Tensor& out) {
-  return [&out](std::vector<std::int64_t> shape) {
-    out = Tensor(std::move(shape));
-    float* raw = out.raw();
-    return [raw](std::int64_t e, std::int64_t stride, std::int64_t run,
-                 std::int64_t nruns, const float* src, float bias_v) {
-      for (std::int64_t r = 0; r < nruns; ++r) {
-        float* dst = raw + e + r * stride;
-        const float* s = src + r * run;
-        for (std::int64_t i = 0; i < run; ++i) dst[i] = s[i] + bias_v;
-      }
-      return true;
-    };
-  };
+                                              << in[1] / spec.groups);
+  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == wd[0]);
 }
 
 }  // namespace
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
               const Conv2dSpec& spec) {
-  LP_CHECK(weight.rank() == 4);
-  const std::int64_t wd[4] = {weight.dim(0), weight.dim(1), weight.dim(2),
-                              weight.dim(3)};
-  Tensor out;
-  (void)conv2d_core(
-      input, wd, bias, spec,
-      [&](std::int64_t g, std::int64_t k, const Tensor& cols, float* result,
-          std::int64_t cg_out, std::int64_t col_width) {
-        // Weight slice for this group as a [cg_out, k] matrix.
-        const float* wslice = weight.raw() + g * cg_out * k;
-        gemm_parallel(wslice, cols.raw(), nullptr, result, cg_out, k,
-                      col_width);
-      },
-      tensor_sink(out));
+  // im2col per group, one GEMM per group, then a scatter into NCHW.  Kept
+  // deliberately separate from the coded convs' implicit-GEMM tile: it is
+  // the independent reference every coded conv is tested against.
+  check_conv(input.shape(), weight.shape(), bias, spec);
+  const std::int64_t n = input.dim(0);
+  const std::int64_t cout = weight.dim(0);
+  const std::int64_t kh = weight.dim(2);
+  const std::int64_t kw = weight.dim(3);
+  const std::int64_t ho =
+      conv_out_dim(input.dim(2), kh, spec.stride, spec.padding);
+  const std::int64_t wo =
+      conv_out_dim(input.dim(3), kw, spec.stride, spec.padding);
+  const std::int64_t cg_in = input.dim(1) / spec.groups;
+  const std::int64_t cg_out = cout / spec.groups;
+  const std::int64_t k = cg_in * kh * kw;
+  const std::int64_t col_width = n * ho * wo;
+  Tensor out({n, cout, ho, wo});
+  std::vector<float> result(static_cast<std::size_t>(cg_out * col_width));
+  for (std::int64_t g = 0; g < spec.groups; ++g) {
+    const Tensor cols = im2col(input, g * cg_in, cg_in, kh, kw, spec);
+    // result[cg_out, col_width] = W_g * cols
+    gemm_parallel(weight.raw() + g * cg_out * k, cols.raw(), nullptr,
+                  result.data(), cg_out, k, col_width);
+    // Columns are ordered batch-major per im2col; each output channel
+    // writes its own planes — parallel over oc.
+    auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
+                       std::int64_t) {
+      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
+        const float bias_v = (bias != nullptr) ? (*bias)[g * cg_out + oc] : 0.0F;
+        for (std::int64_t b = 0; b < n; ++b) {
+          const float* src = result.data() + oc * col_width + b * ho * wo;
+          float* dst = out.raw() + (b * cout + g * cg_out + oc) * ho * wo;
+          for (std::int64_t i = 0; i < ho * wo; ++i) dst[i] = src[i] + bias_v;
+        }
+      }
+    };
+    for_row_blocks(cg_out * col_width, kRowsSerialBelow, cg_out, scatter);
+  }
   return out;
-}
-
-Tensor conv2d_codes(const Tensor& input, const PackedCodes& weight,
-                    const Tensor* bias, const Conv2dSpec& spec) {
-  LP_CHECK(weight.rank() == 4);
-  const std::int64_t wd[4] = {weight.dim(0), weight.dim(1), weight.dim(2),
-                              weight.dim(3)};
-  Tensor out;
-  (void)conv2d_core(
-      input, wd, bias, spec,
-      [&](std::int64_t g, std::int64_t k, const Tensor& cols, float* result,
-          std::int64_t cg_out, std::int64_t col_width) {
-        // The group's weight slice starts at an element (not byte) offset;
-        // the view carries it so 4-bit slices need no realignment.
-        gemm_codes_parallel(weight.view(g * cg_out * k), cols.raw(), nullptr,
-                            result, cg_out, k, col_width);
-      },
-      tensor_sink(out));
-  return out;
-}
-
-std::optional<PackedCodes> conv2d_codes_enc(const Tensor& input,
-                                            const PackedCodes& weight,
-                                            const Tensor* bias,
-                                            const Conv2dSpec& spec,
-                                            const ActEncodeSpec& enc) {
-  LP_CHECK(weight.rank() == 4);
-  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
-  const std::int64_t wd[4] = {weight.dim(0), weight.dim(1), weight.dim(2),
-                              weight.dim(3)};
-  std::vector<std::uint8_t> codes;
-  std::vector<std::int64_t> out_shape;
-  kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
-  const bool ok = conv2d_core(
-      input, wd, bias, spec,
-      [&](std::int64_t g, std::int64_t k, const Tensor& cols, float* result,
-          std::int64_t cg_out, std::int64_t col_width) {
-        gemm_codes_parallel(weight.view(g * cg_out * k), cols.raw(), nullptr,
-                            result, cg_out, k, col_width);
-      },
-      [&](std::vector<std::int64_t> shape) {
-        std::int64_t numel = 1;
-        for (const std::int64_t d : shape) numel *= d;
-        out_shape = std::move(shape);
-        codes.resize(PackedCodes::stream_bytes(numel, enc.bits));
-        ep.codes = codes.data();
-        // Bias-add the whole channel row into kernel scratch, run the
-        // batched epilogue (act + SIMD nearest-index search) once, then
-        // scatter codes per batch-image plane — element-for-element
-        // identical to encode_elem(ep, src[r*run+i] + bias_v, e+r*stride+i).
-        return [&ep](std::int64_t e, std::int64_t stride, std::int64_t run,
-                     std::int64_t nruns, const float* src, float bias_v) {
-          const std::int64_t count = run * nruns;
-          float* buf = kernels::detail::fused_scratch(count);
-          for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
-          return kernels::detail::encode_strided_block(ep, buf, count, e,
-                                                       stride, run);
-        };
-      });
-  if (!ok) return std::nullopt;
-  return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
-                                 enc.bits, enc.lut);
 }
 
 namespace {
 
-/// Shared body of the both-coded convolutions: an implicit GEMM over
-/// (group, row block, column block) tiles of the dispatched
-/// conv_codes_codes_tile kernel, which gathers patch codes straight from
-/// the input stream and finishes every element into `sink` (float NCHW
-/// store or fused act + encode).  The schedule depends only on the shape
-/// and the pool width: column blocks of whole 16-column panels when a
-/// group has at least 4 x threads panels, otherwise row blocks of at
-/// least kMinTileRows rows as well.  Column blocks are capped so a tile's
-/// patch elements (k x columns, which bound the input region it decodes)
-/// stay within kTilePatchFloats, and row blocks so its decoded weight
-/// rows stay within kTileWeightFloats: both live in per-thread scratch
-/// that persists across calls.  Every output
-/// element is computed by exactly one tile with the float conv's exact
-/// arithmetic sequence, so no tiling (and no pool size) can change a bit.
-/// `make_sink(out_shape)` allocates the output and returns the sink
-/// (bias, cout and ch_begin are filled in here).  Returns whether every
-/// element was encodable (all tiles still run).
-template <typename MakeSink>
-bool conv2d_cc_core(const PackedCodes& input, const PackedCodes& weight,
-                    const Tensor* bias, const Conv2dSpec& spec,
-                    std::uint32_t zero_code, MakeSink&& make_sink) {
-  LP_CHECK(input.rank() == 4 && weight.rank() == 4);
+/// Patch operand over a float NCHW input (padding reads +0.0f).
+kernels::ConvPatchView patch_view(const Tensor& input) {
+  LP_CHECK(input.rank() == 4);
+  kernels::ConvPatchView x;
+  x.data = reinterpret_cast<const std::uint8_t*>(input.raw());
+  x.bits = 32;
+  return x;
+}
+
+/// Patch operand over a coded NCHW input (padding decodes `zero_code`).
+kernels::ConvPatchView patch_view(const PackedCodes& input,
+                                  std::uint32_t zero_code) {
+  LP_CHECK(input.rank() == 4);
   const int bits = input.code_bits();
   LP_CHECK_MSG(bits == 8 || bits == 16,
                "coded conv input needs byte-aligned codes, got " << bits
                                                                  << "-bit");
   LP_CHECK(static_cast<std::size_t>(zero_code) < input.lut()->size());
-  const std::int64_t n = input.dim(0);
-  const std::int64_t cin = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t cout = weight.dim(0);
-  const std::int64_t kh = weight.dim(2);
-  const std::int64_t kw = weight.dim(3);
-  LP_CHECK(spec.groups >= 1);
-  LP_CHECK_MSG(cin % spec.groups == 0 && cout % spec.groups == 0,
-               "groups must divide channels");
-  LP_CHECK_MSG(weight.dim(1) == cin / spec.groups,
-               "weight Cin/groups mismatch: " << weight.dim(1) << " vs "
-                                              << cin / spec.groups);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == cout);
-
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t groups = spec.groups;
-  const std::int64_t cg_in = cin / groups;
-  const std::int64_t cg_out = cout / groups;
-  const std::int64_t k = cg_in * kh * kw;
-  const std::int64_t col_width = n * ho * wo;
-
   const kernels::PackedCodesView iv = input.view();
-  const kernels::ConvPatchView x{.data = iv.data,
-                                 .bits = bits,
-                                 .lut = iv.lut,
-                                 .lut_size = iv.lut_size,
-                                 .zero_code = zero_code,
-                                 .batch = n,
-                                 .c_total = cin,
-                                 .h = h,
-                                 .w = w,
-                                 .c_begin = 0,
-                                 .c_count = cg_in,
-                                 .kh = kh,
-                                 .kw = kw,
-                                 .stride = spec.stride,
-                                 .padding = spec.padding,
-                                 .ho = ho,
-                                 .wo = wo};
+  kernels::ConvPatchView x;
+  x.data = iv.data;
+  x.bits = bits;
+  x.lut = iv.lut;
+  x.lut_size = iv.lut_size;
+  x.zero_code = zero_code;
+  return x;
+}
+
+/// Shared body of the coded-weight convolutions: an implicit GEMM over
+/// (group, row block, column block) tiles of the dispatched
+/// conv_codes_tile kernel, which reads patch elements straight from the
+/// input stream `x` (codes or floats; this fills in its geometry) and
+/// finishes every element into `sink` (float NCHW store or fused act +
+/// encode).  The schedule depends only on the shape and the pool width:
+/// column blocks of whole 16-column panels when a group has at least
+/// 4 x threads panels, otherwise row blocks of at least kMinTileRows rows
+/// as well.  Column blocks are capped so a tile's patch elements
+/// (k x columns, which bound the input region it stages) stay within
+/// kTilePatchFloats, and row blocks so its decoded weight rows stay
+/// within kTileWeightFloats: both live in per-thread scratch that
+/// persists across calls.  Every output element is computed by exactly
+/// one tile with the float conv's exact arithmetic sequence, so no tiling
+/// (and no pool size) can change a bit.  `make_sink(out_shape)` allocates
+/// the output and returns the sink (bias, cout and ch_begin are filled in
+/// here).  Returns whether every element was encodable (all tiles still
+/// run).
+template <typename MakeSink>
+bool conv2d_tiled(kernels::ConvPatchView x,
+                  const std::vector<std::int64_t>& in_shape,
+                  const PackedCodes& weight, const Tensor* bias,
+                  const Conv2dSpec& spec, MakeSink&& make_sink) {
+  check_conv(in_shape, weight.shape(), bias, spec);
+  const std::int64_t n = in_shape[0];
+  const std::int64_t cout = weight.dim(0);
+  const std::int64_t groups = spec.groups;
+  const std::int64_t cg_out = cout / groups;
+  x.batch = n;
+  x.c_total = in_shape[1];
+  x.h = in_shape[2];
+  x.w = in_shape[3];
+  x.c_count = x.c_total / groups;
+  x.kh = weight.dim(2);
+  x.kw = weight.dim(3);
+  x.stride = spec.stride;
+  x.padding = spec.padding;
+  x.ho = conv_out_dim(x.h, x.kh, spec.stride, spec.padding);
+  x.wo = conv_out_dim(x.w, x.kw, spec.stride, spec.padding);
+  const std::int64_t k = x.c_count * x.kh * x.kw;
+  const std::int64_t col_width = n * x.ho * x.wo;
   kernels::ConvTileSink sink =
-      make_sink(std::vector<std::int64_t>{n, cout, ho, wo});
+      make_sink(std::vector<std::int64_t>{n, cout, x.ho, x.wo});
   sink.cout = cout;
 
   // Tile schedule (shape and pool width only).
@@ -613,15 +496,14 @@ bool conv2d_cc_core(const PackedCodes& input, const PackedCodes& weight,
       (col_width + cols_per_tile - 1) / cols_per_tile;
   const std::int64_t tiles_per_group = row_tiles * col_tiles;
 
-  const kernels::ConvCodesTileFn tile_fn =
-      kernels::dispatch().conv_codes_codes_tile;
+  const kernels::ConvCodesTileFn tile_fn = kernels::dispatch().conv_codes_tile;
   std::atomic<bool> ok{true};
   auto run_tile = [&](std::int64_t t) {
     const std::int64_t g = t / tiles_per_group;
     const std::int64_t rt = (t % tiles_per_group) / col_tiles;
     const std::int64_t ct = t % col_tiles;
     kernels::ConvPatchView xg = x;
-    xg.c_begin = g * cg_in;
+    xg.c_begin = g * x.c_count;
     kernels::ConvTileSink sg = sink;
     sg.ch_begin = g * cg_out;
     if (bias != nullptr) sg.bias = bias->raw() + g * cg_out;
@@ -642,35 +524,28 @@ bool conv2d_cc_core(const PackedCodes& input, const PackedCodes& weight,
   return ok.load(std::memory_order_relaxed);
 }
 
-}  // namespace
-
-Tensor conv2d_codes_codes(const PackedCodes& input, const PackedCodes& weight,
-                          const Tensor* bias, const Conv2dSpec& spec,
-                          std::uint32_t zero_code) {
-  Tensor out;
-  (void)conv2d_cc_core(input, weight, bias, spec, zero_code,
-                       [&](std::vector<std::int64_t> shape) {
-                         out = Tensor(std::move(shape));
-                         kernels::ConvTileSink sink;
-                         sink.out = out.raw();
-                         return sink;
-                       });
-  return out;
+/// Sink factory for the float-output convs: a fresh NCHW tensor.
+auto float_sink(Tensor& out) {
+  return [&out](std::vector<std::int64_t> shape) {
+    out = Tensor(std::move(shape));
+    kernels::ConvTileSink sink;
+    sink.out = out.raw();
+    return sink;
+  };
 }
 
-std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
-                                                  const PackedCodes& weight,
-                                                  const Tensor* bias,
-                                                  const Conv2dSpec& spec,
-                                                  std::uint32_t zero_code,
-                                                  const ActEncodeSpec& enc) {
+/// Tiled conv with the fused act + encode sink: the output exists only
+/// as codes, or nullopt when an element was non-finite.
+std::optional<PackedCodes> conv2d_tiled_enc(
+    const kernels::ConvPatchView& x, const std::vector<std::int64_t>& in_shape,
+    const PackedCodes& weight, const Tensor* bias, const Conv2dSpec& spec,
+    const ActEncodeSpec& enc) {
   LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
   std::vector<std::uint8_t> codes;
   std::vector<std::int64_t> out_shape;
   kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
-  const bool ok = conv2d_cc_core(
-      input, weight, bias, spec, zero_code,
-      [&](std::vector<std::int64_t> shape) {
+  const bool ok = conv2d_tiled(
+      x, in_shape, weight, bias, spec, [&](std::vector<std::int64_t> shape) {
         std::int64_t numel = 1;
         for (const std::int64_t d : shape) numel *= d;
         out_shape = std::move(shape);
@@ -683,6 +558,44 @@ std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
   if (!ok) return std::nullopt;
   return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
                                  enc.bits, enc.lut);
+}
+
+}  // namespace
+
+Tensor conv2d_codes(const Tensor& input, const PackedCodes& weight,
+                    const Tensor* bias, const Conv2dSpec& spec) {
+  Tensor out;
+  (void)conv2d_tiled(patch_view(input), input.shape(), weight, bias, spec,
+                     float_sink(out));
+  return out;
+}
+
+std::optional<PackedCodes> conv2d_codes_enc(const Tensor& input,
+                                            const PackedCodes& weight,
+                                            const Tensor* bias,
+                                            const Conv2dSpec& spec,
+                                            const ActEncodeSpec& enc) {
+  return conv2d_tiled_enc(patch_view(input), input.shape(), weight, bias,
+                          spec, enc);
+}
+
+Tensor conv2d_codes_codes(const PackedCodes& input, const PackedCodes& weight,
+                          const Tensor* bias, const Conv2dSpec& spec,
+                          std::uint32_t zero_code) {
+  Tensor out;
+  (void)conv2d_tiled(patch_view(input, zero_code), input.shape(), weight,
+                     bias, spec, float_sink(out));
+  return out;
+}
+
+std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
+                                                  const PackedCodes& weight,
+                                                  const Tensor* bias,
+                                                  const Conv2dSpec& spec,
+                                                  std::uint32_t zero_code,
+                                                  const ActEncodeSpec& enc) {
+  return conv2d_tiled_enc(patch_view(input, zero_code), input.shape(), weight,
+                          bias, spec, enc);
 }
 
 Tensor global_avg_pool(const Tensor& input) {

@@ -1,7 +1,7 @@
 // Forward-pass tensor operations.
 //
 // These are the primitives the DNN substrate (src/nn) composes: GEMM,
-// im2col convolution (grouped, so depthwise MobileNet blocks work), pooling,
+// convolution (grouped, so depthwise MobileNet blocks work), pooling,
 // activations, softmax, layernorm.  All functions are pure (inputs const,
 // fresh output) unless suffixed _inplace.
 #pragma once
@@ -92,7 +92,7 @@ struct ActEncodeSpec {
 /// stream through the epilogue's nearest-index search: the decoded stream
 /// equals quantizing `t` through the same table, element for element.
 /// Returns nullopt when any element is non-finite.  Used where the GEMM
-/// output cannot be encoded in-kernel (float-input conv, attention) but
+/// output is not encoded in-kernel (attention, or the unfused flow) but
 /// the outgoing edge is still coded.
 [[nodiscard]] std::optional<PackedCodes> encode_acts(const Tensor& t,
                                                      const ActEncodeSpec& enc);
@@ -104,20 +104,25 @@ struct Conv2dSpec {
 };
 
 /// 2-D convolution, NCHW input [N,C,H,W], weight [Cout,Cin/groups,kh,kw],
-/// optional bias [Cout].  im2col + GEMM implementation.
+/// optional bias [Cout].  im2col + GEMM implementation — kept apart from
+/// the coded convs' implicit-GEMM tile as their independent reference.
 [[nodiscard]] Tensor conv2d(const Tensor& input, const Tensor& weight,
                             const Tensor* bias, const Conv2dSpec& spec);
 
-/// conv2d with a packed-code weight tensor (same logical layout): the
-/// per-group weight slice is the GEMM's A operand, decoded element-wise
-/// inside the kernel.  Bit-identical to conv2d over the decoded weights.
+/// conv2d with a packed-code weight tensor (same logical layout), as an
+/// implicit GEMM: each tile LUT-decodes its weight rows and reads its
+/// patches straight from the float input; no patch matrix is built.
+/// Bit-identical to conv2d over the decoded weights, for any pool size,
+/// except that a NaN output may carry another sign (which NaN an add of
+/// two NaNs propagates depends on operand order).
 [[nodiscard]] Tensor conv2d_codes(const Tensor& input,
                                   const PackedCodes& weight,
                                   const Tensor* bias, const Conv2dSpec& spec);
 
 /// Fused variant of conv2d_codes: bias + act + encode applied per element
-/// in the scatter, so the float-input × coded-weight convolution emits
-/// only codes.  Returns nullopt when any output element is non-finite.
+/// in the tile epilogue, so the float-input × coded-weight convolution
+/// emits only codes.  Returns nullopt when any output element is
+/// non-finite.
 [[nodiscard]] std::optional<PackedCodes> conv2d_codes_enc(
     const Tensor& input, const PackedCodes& weight, const Tensor* bias,
     const Conv2dSpec& spec, const ActEncodeSpec& enc);

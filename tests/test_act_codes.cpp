@@ -11,12 +11,14 @@
 // encode-failure (non-finite) escape hatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #if defined(__linux__)
@@ -26,6 +28,7 @@
 
 #include "core/lp_format.h"
 #include "core/packed_codes.h"
+#include "kernels/kernels_internal.h"
 #include "lpq/lpq.h"
 #include "nn/zoo.h"
 #include "runtime/session.h"
@@ -150,6 +153,42 @@ TEST(CodedActivations, ForwardBitIdenticalOnLargerZooModels) {
     ASSERT_TRUE(bits_equal(got.logits, ref.logits)) << name;
     EXPECT_GT(traffic.coded_bytes, 0) << name;
   }
+}
+
+TEST(CodedActivations, TrafficCountsEveryEdge) {
+  // ActTraffic counts every node's output once: on the float path the
+  // total is the bytes of all edges; on the coded path the residual adds
+  // and pools still produce floats, which must show up as float bytes.
+  const nn::Model m = nn::build_model("resnet18", small_opts());
+  const Tensor x = random_batch(2, 3, 16, 71);
+  const auto w = varied_weight_cfgs(m);
+  const auto a = varied_act_cfgs(w);
+  std::int64_t all_edges = 0;
+  std::int64_t slotless_edges = 0;
+  for (std::size_t i = 1; i < m.node_count(); ++i) {
+    const std::int64_t bytes =
+        m.forward_node_output(x, i).numel() *
+        static_cast<std::int64_t>(sizeof(float));
+    all_edges += bytes;
+    if (m.node(i).slots_const().empty()) slotless_edges += bytes;
+  }
+  ASSERT_GT(slotless_edges, 0);
+
+  runtime::SessionOptions float_opts;
+  float_opts.coded_activations = false;
+  runtime::InferenceSession float_session(m, float_opts);
+  float_session.set_formats(w, a);
+  nn::ActTraffic float_traffic;
+  (void)float_session.run(x, false, &float_traffic);
+  EXPECT_EQ(float_traffic.float_bytes, all_edges);
+  EXPECT_EQ(float_traffic.coded_bytes, 0);
+
+  runtime::InferenceSession coded_session(m);
+  coded_session.set_formats(w, a);
+  nn::ActTraffic coded_traffic;
+  (void)coded_session.run(x, false, &coded_traffic);
+  EXPECT_GT(coded_traffic.coded_bytes, 0);
+  EXPECT_GE(coded_traffic.float_bytes, slotless_edges);
 }
 
 TEST(CodedActivations, FuseOffReproducesFusedForwardBitExactly) {
@@ -633,12 +672,305 @@ TEST(CodedConv, TiledCodesCodesMatchesFloatAbovePoolThreshold) {
   }
 }
 
+/// One conv over a float input through table `t`'s tile, one tile per
+/// group covering all of it (the ops-level entry points run the
+/// dispatched table only), finished through `sink` (float or encode;
+/// bias, cout and ch_begin are filled in here).  Returns the tile's
+/// encodability flag, ANDed over groups.
+bool table_conv_float_in(const kernels::KernelTable& t, const Tensor& input,
+                         const PackedCodes& weight, const Tensor& bias,
+                         const Conv2dSpec& spec, kernels::ConvTileSink sink) {
+  const std::int64_t groups = spec.groups;
+  const std::int64_t cout = weight.dim(0);
+  const std::int64_t cg_out = cout / groups;
+  kernels::ConvPatchView x;
+  x.data = reinterpret_cast<const std::uint8_t*>(input.raw());
+  x.bits = 32;
+  x.batch = input.dim(0);
+  x.c_total = input.dim(1);
+  x.h = input.dim(2);
+  x.w = input.dim(3);
+  x.c_count = x.c_total / groups;
+  x.kh = weight.dim(2);
+  x.kw = weight.dim(3);
+  x.stride = spec.stride;
+  x.padding = spec.padding;
+  x.ho = conv_out_dim(x.h, x.kh, spec.stride, spec.padding);
+  x.wo = conv_out_dim(x.w, x.kw, spec.stride, spec.padding);
+  const std::int64_t k = x.c_count * x.kh * x.kw;
+  sink.cout = cout;
+  bool ok = true;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    kernels::ConvPatchView xg = x;
+    xg.c_begin = g * x.c_count;
+    kernels::ConvTileSink sg = sink;
+    sg.ch_begin = g * cg_out;
+    sg.bias = bias.raw() + g * cg_out;
+    ok = t.conv_codes_tile(weight.view(g * cg_out * k), xg, sg, 0, cg_out, 0,
+                           x.batch * x.ho * x.wo) &&
+         ok;
+  }
+  return ok;
+}
+
+/// Bitwise equality that also accepts two NaNs with different payloads:
+/// the contract fixes where NaN appears, not which NaN an add of two
+/// NaNs propagates.
+bool same_or_both_nan(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    const float x = a.raw()[i];
+    const float y = b.raw()[i];
+    if (std::bit_cast<std::uint32_t>(x) != std::bit_cast<std::uint32_t>(y) &&
+        !(std::isnan(x) && std::isnan(y))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(CodedConv, FloatInTileMatchesFloatConvOnEveryTableAndPoolWidth) {
+  // conv2d_codes / conv2d_codes_enc (float input, coded weights) run the
+  // implicit-GEMM tile over the float stream.  Against conv2d over the
+  // decoded weights: the stem's 3 input channels, stride 2 + padding,
+  // groups, depthwise, the 1x1 stride-2 downsample, partial panels
+  // (n % 16 != 0), row tiles, a wide input whose tile exceeds the region
+  // cap, and inputs holding -0.0 and denormals (every output finite) or
+  // ±inf and NaN (non-finite outputs: conv2d_codes matches, the fused
+  // encode reports nullopt).  Dispatched table at pool widths 1/3/8, and
+  // every table's tile directly.
+  PoolGuard guard;
+  const LPFormat wf(LPConfig{8, 1, 4, 0.5});
+  const LPFormat af(LPConfig{8, 2, 4, 0.0});
+  auto lut = build_decode_table(af);
+  ASSERT_NE(lut, nullptr);
+  const ActEncodeSpec enc{af.quant_index()->view(), lut,
+                          PackedCodes::bits_for(lut->size(), 8),
+                          kernels::kActRelu};
+  const struct {
+    std::int64_t n, c, h, w, co, k, stride, padding, groups;
+  } cases[] = {
+      {4, 3, 32, 32, 16, 3, 1, 1, 1},    // the stem: 3 input channels
+      {3, 8, 13, 13, 10, 3, 1, 1, 1},    // 507 columns: partial panels
+      {3, 16, 13, 13, 14, 3, 2, 1, 2},   // strided + padded, 2 groups
+      {3, 24, 11, 11, 24, 3, 1, 1, 24},  // depthwise
+      {3, 16, 14, 14, 34, 1, 2, 0, 1},   // 1x1 stride-2 downsample
+      {3, 32, 3, 3, 70, 3, 1, 1, 1},     // 27 columns, 70 rows: row tiles
+      {1, 64, 2, 8200, 4, 1, 1, 0, 1},   // region too large to stage
+      {1, 3, 1, 1, 5, 1, 1, 0, 1},       // 3-element input
+  };
+  Rng rng(4242);
+  for (const auto& t : cases) {
+    Tensor weight({t.co, t.c / t.groups, t.k, t.k});
+    Tensor bias({t.co});
+    for (float& v : weight.data()) v = static_cast<float>(rng.gaussian());
+    for (float& v : bias.data()) v = static_cast<float>(rng.gaussian());
+    const Conv2dSpec spec{t.stride, t.padding, t.groups};
+    const CodedPair cw = code_tensor(weight, wf, 0);
+    for (const bool non_finite : {false, true}) {
+      Tensor input({t.n, t.c, t.h, t.w});
+      for (float& v : input.data()) v = static_cast<float>(rng.gaussian());
+      const std::int64_t numel = input.numel();
+      const float specials[] = {-0.0F,
+                                1e-42F,
+                                -3e-39F,
+                                std::numeric_limits<float>::denorm_min(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity(),
+                                std::numeric_limits<float>::quiet_NaN()};
+      const int nspecial = non_finite ? 7 : 4;
+      for (std::int64_t e = 0; e < numel; e += 7) {
+        input.raw()[e] = specials[(e / 7) % nspecial];
+      }
+      if (non_finite) input.raw()[numel - 1] = specials[6];
+      const Tensor ref = conv2d(input, cw.dense, &bias, spec);
+      Tensor fused_ref = relu(ref);
+      bool finite = true;
+      for (const float v : fused_ref.data()) finite = finite && std::isfinite(v);
+      ASSERT_EQ(finite, !non_finite) << "case must exercise its outputs";
+      if (finite) quantize_inplace(fused_ref, af);
+      const std::string tag = std::to_string(t.c) + "ch co=" +
+                              std::to_string(t.co) + " groups=" +
+                              std::to_string(t.groups) +
+                              (non_finite ? " non-finite" : " finite");
+
+      for (const int threads : {1, 3, 8}) {
+        set_default_pool_threads(threads);
+        const Tensor got = conv2d_codes(input, *cw.codes, &bias, spec);
+        ASSERT_TRUE(same_or_both_nan(got, ref)) << tag << " threads=" << threads;
+        const auto coded = conv2d_codes_enc(input, *cw.codes, &bias, spec, enc);
+        ASSERT_EQ(coded.has_value(), finite) << tag << " threads=" << threads;
+        if (coded.has_value()) {
+          Tensor decoded(coded->shape());
+          coded->decode(decoded.data());
+          ASSERT_TRUE(bits_equal(decoded, fused_ref))
+              << tag << " threads=" << threads;
+        }
+      }
+
+      for (const kernels::KernelTable* kt : kernels::available_kernels()) {
+        Tensor got(ref.shape());
+        kernels::ConvTileSink sink;
+        sink.out = got.raw();
+        ASSERT_TRUE(table_conv_float_in(*kt, input, *cw.codes, bias, spec, sink));
+        ASSERT_TRUE(same_or_both_nan(got, ref)) << kt->name << " " << tag;
+
+        std::vector<std::uint8_t> codes(
+            PackedCodes::stream_bytes(ref.numel(), enc.bits));
+        const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
+        sink = {};
+        sink.ep = &ep;
+        ASSERT_EQ(table_conv_float_in(*kt, input, *cw.codes, bias, spec, sink),
+                  finite)
+            << kt->name << " " << tag;
+        if (finite) {
+          const PackedCodes pc = PackedCodes::from_codes(
+              std::move(codes), ref.shape(), enc.bits, enc.lut);
+          Tensor decoded(ref.shape());
+          pc.decode(decoded.data());
+          ASSERT_TRUE(bits_equal(decoded, fused_ref)) << kt->name << " " << tag;
+        }
+      }
+    }
+  }
+}
+
+TEST(CodedOps, BatchedEncodersMatchEncodeElemOnEveryTable) {
+  // detail::encode_elem is the per-element definition of the fused
+  // encode: act, nearest index, code write — or false and no write for a
+  // non-finite activated value.  encode_row_block, every table's nearest
+  // index search and every table's conv tile encode sink (over a float
+  // and over a coded input) must agree with it element for element on
+  // -0.0, denormals, exact table values, tie midpoints, ±inf and NaN.
+  const LPFormat af(LPConfig{8, 2, 4, 0.0});
+  auto lut = build_decode_table(af);
+  ASSERT_NE(lut, nullptr);
+  const std::vector<float>& table = *lut;
+  std::vector<float> vals = {0.0F,
+                             -0.0F,
+                             1e-42F,
+                             -1e-42F,
+                             std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN(),
+                             3.0e38F,
+                             -3.0e38F};
+  std::vector<float> sorted = table;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+    vals.push_back(sorted[i]);
+    // The midpoint where it is exact in float: a tie.
+    vals.push_back(static_cast<float>(
+        (static_cast<double>(sorted[i]) + sorted[i + 1]) / 2.0));
+  }
+  Rng rng(99);
+  while (vals.size() % 16 != 5) {
+    vals.push_back(static_cast<float>(rng.gaussian(0.0, 4.0)));
+  }
+  const auto n = static_cast<std::int64_t>(vals.size());
+  constexpr std::uint8_t kUnwritten = 0xA5;
+  for (const int act : {kernels::kActNone, kernels::kActRelu,
+                        kernels::kActRelu6, kernels::kActGelu}) {
+    // Reference: encode_elem per element into an untouched stream.
+    std::vector<std::uint8_t> ref(PackedCodes::stream_bytes(n, 16), kUnwritten);
+    kernels::ActEncode ep{af.quant_index()->view(), ref.data(), 16, act};
+    bool ref_ok = true;
+    int unencodable = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const bool ok = kernels::detail::encode_elem(ep, vals[i], i);
+      const float y = kernels::act_eval(vals[i], act);
+      ASSERT_EQ(ok, std::isfinite(y)) << "i=" << i << " act=" << act;
+      if (!ok) {
+        ++unencodable;
+        EXPECT_EQ(ref[i * 2], kUnwritten);
+        EXPECT_EQ(ref[i * 2 + 1], kUnwritten);
+      }
+      ref_ok = ref_ok && ok;
+    }
+    ASSERT_GT(unencodable, 0);
+
+    std::vector<std::uint8_t> got(ref.size(), kUnwritten);
+    ep.codes = got.data();
+    EXPECT_EQ(kernels::detail::encode_row_block(ep, vals.data(), 0, n), ref_ok);
+    EXPECT_EQ(got, ref) << "encode_row_block act=" << act;
+
+    for (const kernels::KernelTable* t : kernels::available_kernels()) {
+      std::vector<float> acts(vals.size());
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        acts[i] = kernels::act_eval(vals[i], act);
+      }
+      std::vector<std::uint32_t> idx(vals.size());
+      t->nearest_indices(ep.qidx, acts.data(), idx.data(), vals.size());
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (idx[i] == kernels::kInvalidIndex) {
+          EXPECT_EQ(ref[i * 2], kUnwritten) << t->name << " i=" << i;
+        } else {
+          EXPECT_EQ(idx[i], kernels::packed_code_at(
+                                {ref.data(), 0, 16, nullptr, 0}, i))
+              << t->name << " i=" << i;
+        }
+      }
+
+      // The tile encode sink: a 1x1 conv with one weight decoding to 1.0
+      // over [1, 1, 1, n] passes every finite value through exactly; the
+      // float sink's output is the value the encoder sees, so the codes
+      // must be encode_elem of it.  Same stream, read as floats or as
+      // 16-bit codes of a LUT holding the values.
+      const float wlut[2] = {0.0F, 1.0F};
+      const std::uint8_t wcode = 1;
+      const kernels::PackedCodesView a{&wcode, 0, 8, wlut, 2};
+      std::vector<std::uint8_t> in_codes(PackedCodes::stream_bytes(n, 16));
+      for (std::int64_t i = 0; i < n; ++i) {
+        kernels::packed_code_write(in_codes.data(), 16, i,
+                                   static_cast<std::uint32_t>(i));
+      }
+      for (const bool coded_in : {false, true}) {
+        kernels::ConvPatchView x;
+        x.data = coded_in ? in_codes.data()
+                          : reinterpret_cast<const std::uint8_t*>(vals.data());
+        x.bits = coded_in ? 16 : 32;
+        x.lut = coded_in ? vals.data() : nullptr;
+        x.lut_size = coded_in ? static_cast<std::uint32_t>(n) : 0;
+        x.batch = 1;
+        x.c_total = 1;
+        x.h = 1;
+        x.w = n;
+        x.c_count = 1;
+        x.ho = 1;
+        x.wo = n;
+        std::vector<float> out(vals.size());
+        kernels::ConvTileSink sink;
+        sink.cout = 1;
+        sink.out = out.data();
+        ASSERT_TRUE(t->conv_codes_tile(a, x, sink, 0, 1, 0, n));
+        std::vector<std::uint8_t> tile_ref(ref.size(), kUnwritten);
+        kernels::ActEncode tile_ep = ep;
+        tile_ep.codes = tile_ref.data();
+        bool tile_ok = true;
+        for (std::int64_t i = 0; i < n; ++i) {
+          tile_ok = kernels::detail::encode_elem(tile_ep, out[i], i) && tile_ok;
+        }
+        std::vector<std::uint8_t> tile_got(ref.size(), kUnwritten);
+        tile_ep.codes = tile_got.data();
+        sink = {};
+        sink.cout = 1;
+        sink.ep = &tile_ep;
+        EXPECT_EQ(t->conv_codes_tile(a, x, sink, 0, 1, 0, n), tile_ok);
+        EXPECT_EQ(tile_got, tile_ref)
+            << t->name << (coded_in ? " coded" : " float") << " act=" << act;
+      }
+    }
+  }
+}
+
 #if defined(__linux__)
 TEST(CodedConv, TileGathersStayInsideTheCodeStream) {
-  // The SIMD tiles load and gather patch codes with vector instructions
-  // the sanitizers do not check.  Place the input stream flush against an
-  // inaccessible page on either side: a read outside it faults.  Every
-  // table must also agree with the scalar reference bit for bit.
+  // The SIMD tiles load and gather patch elements with vector
+  // instructions the sanitizers do not check.  Place the input stream (8-
+  // and 16-bit codes, or floats) flush against an inaccessible page on
+  // either side: a read outside it faults.  Every table must also agree
+  // with the scalar reference bit for bit.
   const std::int64_t page = sysconf(_SC_PAGESIZE);
   std::vector<float> lut(300);
   for (std::size_t i = 0; i < lut.size(); ++i) {
@@ -665,7 +997,7 @@ TEST(CodedConv, TileGathersStayInsideTheCodeStream) {
       wcodes[i] = static_cast<std::uint8_t>((i * 5 + 3) % 16);
     }
     const kernels::PackedCodesView a{wcodes.data(), 0, 8, wlut.data(), 16};
-    for (const int bits : {8, 16}) {
+    for (const int bits : {8, 16, 32}) {
       const std::int64_t numel = sh.n * sh.c * sh.h * sh.h;
       const std::int64_t nbytes = numel * bits / 8;
       const std::int64_t span = ((nbytes + page - 1) / page + 2) * page;
@@ -682,12 +1014,16 @@ TEST(CodedConv, TileGathersStayInsideTheCodeStream) {
         for (std::int64_t e = 0; e < numel; ++e) {
           const auto code = static_cast<std::uint32_t>(
               (e * 37 + 11) % (bits == 8 ? 256 : 300));
-          kernels::packed_code_write(data, bits, e, code);
+          if (bits == 32) {
+            std::memcpy(data + e * 4, &lut[code], sizeof(float));
+          } else {
+            kernels::packed_code_write(data, bits, e, code);
+          }
         }
         kernels::ConvPatchView x;
         x.data = data;
         x.bits = bits;
-        x.lut = lut.data();
+        x.lut = bits == 32 ? nullptr : lut.data();
         x.lut_size = bits == 8 ? 256 : 300;
         x.zero_code = zero_code;
         x.batch = sh.n;
@@ -707,7 +1043,7 @@ TEST(CodedConv, TileGathersStayInsideTheCodeStream) {
           kernels::ConvTileSink sink;
           sink.cout = kRows;
           sink.out = out.data();
-          ASSERT_TRUE(t->conv_codes_codes_tile(a, x, sink, 0, kRows, 0, cols));
+          ASSERT_TRUE(t->conv_codes_tile(a, x, sink, 0, kRows, 0, cols));
           if (ref.empty()) {
             ref = out;
           } else {

@@ -1,9 +1,10 @@
 // Packed weight-code datapath tests.
 //
-// The central contract: LUT-decoding GEMM (gemm_codes_rows with a coded A
-// operand, gemm_codes_nt_rows with a coded B^T operand) is bit-identical
-// to decode-then-GEMM for every kernel table, every code width (4-bit
-// packed through 16-bit), and every shape — including decode tables with
+// The central contract: LUT-decoding GEMM (the conv tile over a coded A
+// operand, run as a 1x1 conv over a float input, and gemm_codes_nt_rows
+// with a coded B^T operand) is bit-identical to decode-then-GEMM for
+// every kernel table, every code width (4-bit packed through 16-bit),
+// and every shape — including decode tables with
 // denormal and ±inf entries, structural zeros under infinities, unaligned
 // element offsets (grouped-conv slices), and non-multiple-of-8 sizes.  On
 // top of that: PackedCodes round-trips bit-exactly against quantize_batch
@@ -112,6 +113,39 @@ const GemmShape kShapes[] = {{1, 1, 1},  {2, 3, 5},   {3, 7, 9},
                              {5, 16, 8}, {4, 17, 33}, {7, 64, 31},
                              {8, 129, 40}};
 
+/// The [k, n] row-major float matrix `b` as the input of a 1x1 conv over
+/// [1, k, 1, n]: patch element (p, col) is b[p * n + col], so the conv
+/// tile over an [m, k] coded weight computes decode(A) * B, and output
+/// (row, col) lands at c[row * n + col].
+kernels::ConvPatchView matrix_as_conv_input(const float* b, std::int64_t k,
+                                            std::int64_t n) {
+  kernels::ConvPatchView x;
+  x.data = reinterpret_cast<const std::uint8_t*>(b);
+  x.bits = 32;
+  x.batch = 1;
+  x.c_total = k;
+  x.h = 1;
+  x.w = n;
+  x.c_count = k;
+  x.ho = 1;
+  x.wo = n;
+  return x;
+}
+
+/// Conv-tile GEMM: c[i, j] = float(decode(A)[i, :] * B[:, j]) + bias[i]
+/// for rows [r0, r1) and columns [c0, c1) of an [m, n] result.
+void tile_gemm(const kernels::KernelTable& t, const kernels::PackedCodesView& a,
+               const float* b, const float* bias, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n, std::int64_t r0, std::int64_t r1,
+               std::int64_t c0, std::int64_t c1) {
+  kernels::ConvTileSink sink;
+  sink.bias = bias;
+  sink.cout = m;
+  sink.out = c;
+  ASSERT_TRUE(t.conv_codes_tile(a, matrix_as_conv_input(b, k, n), sink, r0,
+                                r1, c0, c1));
+}
+
 class CodesKernelTest : public ::testing::Test {
  protected:
   std::vector<const kernels::KernelTable*> tables_ =
@@ -120,14 +154,15 @@ class CodesKernelTest : public ::testing::Test {
 
 TEST_F(CodesKernelTest, TablesCarryCodeKernels) {
   for (const auto* t : tables_) {
-    EXPECT_NE(t->gemm_codes_rows, nullptr) << t->name;
+    EXPECT_NE(t->conv_codes_tile, nullptr) << t->name;
     EXPECT_NE(t->gemm_codes_nt_rows, nullptr) << t->name;
   }
 }
 
-/// gemm_codes_rows (coded A, the conv layout) against decode-then-
-/// gemm_rows on the scalar reference, every table, every code width,
-/// bias on/off, unaligned offsets, and infs in float B guarded by
+/// The conv tile (coded A, the conv layout) over a float 1x1-conv input
+/// against decode-then-gemm_rows on the scalar reference, every table,
+/// every code width, per-row bias on/off (the conv adds it to the
+/// rounded product), unaligned offsets, and infs in float B guarded by
 /// structural-zero codes in A.
 TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
   for (const int bits : {4, 8, 16}) {
@@ -156,7 +191,7 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
         std::vector<float> a_dec(an);
         for (std::size_t i = 0; i < an; ++i) a_dec[i] = lut[idx[i]];
         std::vector<float> b(static_cast<std::size_t>(s.k * s.n));
-        std::vector<float> bias(static_cast<std::size_t>(s.n));
+        std::vector<float> bias(static_cast<std::size_t>(s.m));
         for (auto& v : b) v = static_cast<float>(rng.gaussian());
         for (auto& v : bias) v = static_cast<float>(rng.gaussian());
         if (s.k >= 2) {
@@ -170,11 +205,15 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
         std::vector<float> c_got(cn);
         for (const float* bp : {static_cast<const float*>(nullptr),
                                 static_cast<const float*>(bias.data())}) {
-          kernels::scalar_kernels().gemm_rows(a_dec.data(), b.data(), bp,
-                                              c_ref.data(), 0, s.m, s.k, s.n);
+          kernels::scalar_kernels().gemm_rows(a_dec.data(), b.data(),
+                                              nullptr, c_ref.data(), 0, s.m,
+                                              s.k, s.n);
+          for (std::size_t e = 0; bp != nullptr && e < cn; ++e) {
+            c_ref[e] = c_ref[e] + bp[e / static_cast<std::size_t>(s.n)];
+          }
           for (const auto* t : tables_) {
-            t->gemm_codes_rows(view, b.data(), bp, c_got.data(), 0, s.m, s.k,
-                               s.n);
+            tile_gemm(*t, view, b.data(), bp, c_got.data(), s.m, s.k, s.n, 0,
+                      s.m, 0, s.n);
             EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
                 << t->name << " bits=" << bits << " " << s.m << "x" << s.k
                 << "x" << s.n << " offset=" << offset
@@ -258,15 +297,18 @@ TEST_F(CodesKernelTest, SplitRowRangesMatchFullRange) {
   std::vector<float> c_full(static_cast<std::size_t>(s.m * s.n));
   std::vector<float> c_split(c_full.size());
   const std::int64_t cuts[] = {0, 1, 2, 5, 6, s.m};
+  const std::int64_t col_cuts[] = {0, 3, 16, s.n};
   for (const auto* t : tables_) {
-    t->gemm_codes_rows(av, b_float.data(), nullptr, c_full.data(), 0, s.m, s.k,
-                       s.n);
+    tile_gemm(*t, av, b_float.data(), nullptr, c_full.data(), s.m, s.k, s.n, 0,
+              s.m, 0, s.n);
     for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
-      t->gemm_codes_rows(av, b_float.data(), nullptr, c_split.data(), cuts[ci],
-                         cuts[ci + 1], s.k, s.n);
+      for (std::size_t cj = 0; cj + 1 < std::size(col_cuts); ++cj) {
+        tile_gemm(*t, av, b_float.data(), nullptr, c_split.data(), s.m, s.k,
+                  s.n, cuts[ci], cuts[ci + 1], col_cuts[cj], col_cuts[cj + 1]);
+      }
     }
     EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
-        << t->name << " codes_rows";
+        << t->name << " conv_codes_tile";
 
     t->gemm_codes_nt_rows(x.data(), bv, nullptr, c_full.data(), nullptr, 0,
                           s.m, s.k, s.n);

@@ -77,9 +77,8 @@ TEST_F(KernelTablesTest, ScalarAlwaysFirstAndComplete) {
     EXPECT_NE(t->name, nullptr);
     EXPECT_NE(t->gemm_rows, nullptr);
     EXPECT_NE(t->gemm_nt_rows, nullptr);
-    EXPECT_NE(t->gemm_codes_rows, nullptr);
     EXPECT_NE(t->gemm_codes_nt_rows, nullptr);
-    EXPECT_NE(t->conv_codes_codes_tile, nullptr);
+    EXPECT_NE(t->conv_codes_tile, nullptr);
     EXPECT_NE(t->gemm_codes_codes_nt_rows, nullptr);
     EXPECT_NE(t->quantize_chunk, nullptr);
     EXPECT_NE(t->nearest_indices, nullptr);

@@ -440,13 +440,15 @@ BENCHMARK(BM_GemmCodesAvx512)
     ->ArgNames({"n", "coded"})
     ->Unit(benchmark::kMillisecond);
 
-/// ViT-ish linear shape ([tokens, k] x W[n, k]^T) with W as the coded B^T
-/// operand — the layout matmul_nt_codes executes.  `coded` Arg 0 runs the
-/// float gemm_nt kernel on the decoded weights as the in-process baseline.
+/// ViT-ish linear shape ([tokens, k] x W[n, k]^T) through gemm_nt_rows,
+/// the kernel every matmul_nt* entry runs.  `coded` Arg 0 passes float
+/// operands (the decoded weights) as the in-process baseline, 1 a float A
+/// against W as the coded B^T operand, 2 both coded — A as 8-bit
+/// activation codes, the steady state of a coded-activation linear layer.
 void run_gemm_codes_nt_bench(benchmark::State& state,
                              const kernels::KernelTable& kt) {
   constexpr std::int64_t m = 196, k = 512, n = 256;
-  const bool coded = state.range(1) != 0;
+  const std::int64_t coded = state.range(1);
   const LPFormat fmt(bench_cfg(static_cast<int>(state.range(0))));
   const auto lut = build_decode_table(fmt);
   Rng rng(9);
@@ -456,18 +458,19 @@ void run_gemm_codes_nt_bench(benchmark::State& state,
   for (auto& v : w) v = static_cast<float>(rng.gaussian(0.0, 0.1));
   for (auto& v : a) v = static_cast<float>(rng.gaussian());
   const auto packed = PackedCodes::pack(w, {n, k}, fmt, lut);
-  const kernels::PackedCodesView view = packed->view();
   std::vector<float> wq(w);
   for (std::size_t i = 0; i < wq.size(); ++i) {
     wq[i] = packed->decode_at(static_cast<std::int64_t>(i));
   }
+  const LPFormat afmt(LPConfig{8, 2, 4, 0.0});
+  const auto a_packed =
+      PackedCodes::pack(a, {m, k}, afmt, build_decode_table(afmt), 8);
+  const kernels::PackedCodesView av =
+      coded == 2 ? a_packed->view() : kernels::float_view(a.data());
+  const kernels::PackedCodesView bv =
+      coded != 0 ? packed->view() : kernels::float_view(wq.data());
   for (auto _ : state) {
-    if (coded) {
-      kt.gemm_codes_nt_rows(a.data(), view, nullptr, c.data(), nullptr, 0, m,
-                            k, n);
-    } else {
-      kt.gemm_nt_rows(a.data(), wq.data(), nullptr, c.data(), 0, m, k, n);
-    }
+    (void)kt.gemm_nt_rows(av, bv, nullptr, c.data(), nullptr, 0, m, k, n);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -482,7 +485,7 @@ void BM_GemmCodesNtScalar(benchmark::State& state) {
   run_gemm_codes_nt_bench(state, kernels::scalar_kernels());
 }
 BENCHMARK(BM_GemmCodesNtScalar)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
+    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})->Args({8, 2})
     ->ArgNames({"n", "coded"})
     ->Unit(benchmark::kMillisecond);
 
@@ -495,7 +498,7 @@ void BM_GemmCodesNtAvx2(benchmark::State& state) {
   run_gemm_codes_nt_bench(state, *kt);
 }
 BENCHMARK(BM_GemmCodesNtAvx2)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
+    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})->Args({8, 2})
     ->ArgNames({"n", "coded"})
     ->Unit(benchmark::kMillisecond);
 
@@ -508,7 +511,7 @@ void BM_GemmCodesNtAvx512(benchmark::State& state) {
   run_gemm_codes_nt_bench(state, *kt);
 }
 BENCHMARK(BM_GemmCodesNtAvx512)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
+    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})->Args({8, 2})
     ->ArgNames({"n", "coded"})
     ->Unit(benchmark::kMillisecond);
 

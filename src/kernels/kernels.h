@@ -21,10 +21,10 @@
 //      use, then automatic selection);
 //   2. the best table the CPU supports (runtime cpuid, not compile flags).
 //
-// Orthogonal to table selection, LP_APPROX=plam opts the coded GEMM
-// paths into the log-domain approximate multiplier (see plam below) —
-// the one datapath that is deliberately NOT bit-identical; it carries a
-// pinned relative error bound instead.
+// Orthogonal to table selection, LP_APPROX=plam opts the coded
+// linear-layout GEMMs into the log-domain approximate multiplier (see
+// plam below) — the one datapath that is deliberately NOT bit-identical;
+// it carries a pinned relative error bound instead.
 #pragma once
 
 #include <algorithm>
@@ -55,31 +55,42 @@ struct QuantIndexView {
 };
 
 /// GEMM row-block kernel: C[i,:] = bias + A[i,:] * B for i in
-/// [row_begin, row_end), with A [m,k] row-major, B [k,n] row-major
-/// (or, for the _nt entry, B [n,k] row-major holding B^T) and C [m,n].
-/// `bias` is n floats or nullptr.  Row blocks write disjoint rows, so the
-/// thread pool may split [0, m) freely without affecting results.
+/// [row_begin, row_end), with A [m,k] row-major, B [k,n] row-major and
+/// C [m,n].  `bias` is n floats or nullptr.  Row blocks write disjoint
+/// rows, so the thread pool may split [0, m) freely without affecting
+/// results.
 using GemmRowsFn = void (*)(const float* a, const float* b, const float* bias,
                             float* c, std::int64_t row_begin,
                             std::int64_t row_end, std::int64_t k,
                             std::int64_t n);
 
-/// View of a packed weight-code matrix for the LUT-decoding GEMM kernels:
-/// `data` is a row-major stream of codes, each `bits` wide (4 = two codes
-/// per byte, low nibble first; 8 = one byte; 16 = little-endian uint16),
-/// starting `offset` *elements* into the stream (grouped convolutions
-/// slice one weight tensor at arbitrary element offsets, which for 4-bit
-/// codes need not be byte-aligned).  `lut` decodes a code to its float
-/// value — the exact float the quantized-weight tensor of the float path
-/// stores, which is what makes decode-in-the-kernel bit-identical to
-/// decode-then-GEMM.
+/// View of a GEMM operand matrix, coded or float.  Coded: `data` is a
+/// row-major stream of codes, each `bits` wide (4 = two codes per byte,
+/// low nibble first; 8 = one byte; 16 = little-endian uint16), starting
+/// `offset` *elements* into the stream (grouped convolutions slice one
+/// weight tensor at arbitrary element offsets, which for 4-bit codes need
+/// not be byte-aligned).  `lut` decodes a code to its float value — the
+/// exact float the quantized tensor of the float path stores, which is
+/// what makes decode-in-the-kernel bit-identical to decode-then-GEMM.
+/// Float (bits == 32, lut == nullptr; see float_view): `data` holds
+/// plain floats, `offset` elements in.
 struct PackedCodesView {
   const std::uint8_t* data = nullptr;
   std::int64_t offset = 0;
-  int bits = 8;  ///< 4, 8, or 16
+  int bits = 8;  ///< 4, 8, or 16 (codes), 32 (floats)
   const float* lut = nullptr;
   std::uint32_t lut_size = 0;
+
+  /// Element 0 of a float operand.
+  [[nodiscard]] const float* floats() const {
+    return reinterpret_cast<const float*>(data) + offset;
+  }
 };
+
+/// A float matrix as a GEMM operand view.
+[[nodiscard]] inline PackedCodesView float_view(const float* p) {
+  return {reinterpret_cast<const std::uint8_t*>(p), 0, 32, nullptr, 0};
+}
 
 /// Code at logical element i of the view.
 [[nodiscard]] inline std::uint32_t packed_code_at(const PackedCodesView& v,
@@ -162,23 +173,26 @@ struct ActEncode {
   int act = kActNone;
 };
 
-/// GEMM row-block kernel against a *coded* B^T operand (the
-/// linear/attention layout, B [n,k] row-major holding W), plus an
-/// optional fused encode epilogue: C[i,:] = bias + A[i,:] * decode(B)^T,
-/// bit-identical to expanding B through the LUT and calling gemm_nt_rows.
-/// SIMD variants LUT-expand the codes into packed B panels during
-/// packing.  With `ep == nullptr` this writes float C rows and returns
-/// true.  With an epilogue, `c` is ignored (may be null): the row block
-/// stages into kernel-local scratch, the epilogue applies act +
-/// nearest-index encode per element, and only codes reach the output
-/// stream.  Returns false when any output element was non-finite (not
-/// encodable); the caller then re-runs the edge on the float path.
-using GemmCodesNtRowsFn = bool (*)(const float* a, const PackedCodesView& b,
-                                   const float* bias, float* c,
-                                   const ActEncode* ep,
-                                   std::int64_t row_begin,
-                                   std::int64_t row_end, std::int64_t k,
-                                   std::int64_t n);
+/// Linear-layout GEMM row-block kernel (linear / attention / patch-merge
+/// layers): C[i,:] = bias + A[i,:] * B^T for i in [row_begin, row_end),
+/// with A [m,k] and B [n,k] row-major, each operand floats or codes (see
+/// PackedCodesView), plus an optional fused encode epilogue.  A coded A
+/// row block is LUT-decoded once per call, coded B rows once per column
+/// panel; every element then runs the same sequence whatever the operand
+/// forms (double accumulator seeded with bias[j] or 0, ascending-k
+/// mul-then-add with zero A entries skipped, one rounding), so the
+/// result is bit-identical to decoding both operands first.  With
+/// `ep == nullptr` this writes float C rows and returns true.  With an
+/// epilogue, `c` is ignored (may be null): the row block stages into
+/// kernel-local scratch, the epilogue applies act + nearest-index encode
+/// per element, and only codes reach the output stream.  Returns false
+/// when any output element was non-finite (not encodable); the caller
+/// then re-runs the edge on the float path.
+using GemmNtRowsFn = bool (*)(const PackedCodesView& a,
+                              const PackedCodesView& b, const float* bias,
+                              float* c, const ActEncode* ep,
+                              std::int64_t row_begin, std::int64_t row_end,
+                              std::int64_t k, std::int64_t n);
 
 /// Implicit-GEMM patch operand of the coded-weight convolution.  The
 /// patch matrix B[k, col] of one group is never materialized: element
@@ -251,25 +265,6 @@ using ConvCodesTileFn = bool (*)(const PackedCodesView& a,
                                  std::int64_t r1, std::int64_t c0,
                                  std::int64_t c1);
 
-/// GEMM row-block kernel with BOTH operands coded, linear layout: A is the
-/// coded activation matrix [m,k], B [n,k] row-major holds the coded
-/// weights (used transposed), plus an optional fused encode epilogue.
-/// With `ep == nullptr` this writes float C rows exactly like
-/// gemm_codes_nt_rows over the decoded A.  With an epilogue, `c` is
-/// ignored (may be null): the row block stages into kernel-local scratch,
-/// the epilogue applies act + nearest-index encode per element, and only
-/// codes reach the output stream — the inter-layer activation never
-/// materializes as a float tensor.  Returns false when any output element
-/// was non-finite (not encodable); the caller then re-runs the edge on the
-/// float path.
-using GemmCodesCodesNtRowsFn = bool (*)(const PackedCodesView& a,
-                                        const PackedCodesView& b,
-                                        const float* bias, float* c,
-                                        const ActEncode* ep,
-                                        std::int64_t row_begin,
-                                        std::int64_t row_end, std::int64_t k,
-                                        std::int64_t n);
-
 /// Quantize xs[0..n) in place against the index view (non-finite inputs
 /// become quiet NaN) and return the squared error accumulated in element
 /// order — the same addition sequence as the scalar reference, so partials
@@ -285,10 +280,8 @@ using NearestIndicesFn = void (*)(const QuantIndexView& v, const float* xs,
 struct KernelTable {
   const char* name;  ///< "scalar", "avx2", ... (the LP_KERNEL spelling)
   GemmRowsFn gemm_rows;
-  GemmRowsFn gemm_nt_rows;
-  GemmCodesNtRowsFn gemm_codes_nt_rows;
+  GemmNtRowsFn gemm_nt_rows;
   ConvCodesTileFn conv_codes_tile;
-  GemmCodesCodesNtRowsFn gemm_codes_codes_nt_rows;
   QuantizeChunkFn quantize_chunk;
   NearestIndicesFn nearest_indices;
 };
@@ -344,7 +337,7 @@ struct KernelTable {
 // LP formats are logarithmic, so the PLAM observation (posit multiply ≈
 // integer add of the bit patterns) maps here to Mitchell's log
 // approximation on the decoded operands: log2(2^e * (1+f)) ≈ e + f.  The
-// plam kernels below multiply through that approximation — the product
+// plam kernel below multiplies through that approximation — the product
 // magnitude is always underestimated, with relative error at most 1/9 per
 // multiply — while accumulation stays exact in double, ascending-k,
 // rounded once at the end (the PDPU accumulate-in-wide discipline).  This
@@ -379,21 +372,14 @@ namespace plam {
 /// product (no log decomposition exists for them).
 [[nodiscard]] double mitchell_mul(double x, double y);
 
-/// Approximate counterpart of KernelTable::gemm_codes_nt_rows: same
-/// layout, bias seeding, ascending-k accumulation order, zero-skip, and
-/// fused-epilogue contract — but every product goes through mitchell_mul.
-bool gemm_codes_nt_rows(const float* a, const PackedCodesView& b,
-                        const float* bias, float* c, const ActEncode* ep,
-                        std::int64_t row_begin, std::int64_t row_end,
-                        std::int64_t k, std::int64_t n);
-
-/// Approximate counterpart of KernelTable::gemm_codes_codes_nt_rows (both
-/// operands coded, linear layout, optional fused epilogue).
-bool gemm_codes_codes_nt_rows(const PackedCodesView& a,
-                              const PackedCodesView& b, const float* bias,
-                              float* c, const ActEncode* ep,
-                              std::int64_t row_begin, std::int64_t row_end,
-                              std::int64_t k, std::int64_t n);
+/// Approximate counterpart of KernelTable::gemm_nt_rows: same operand
+/// forms, layout, bias seeding, ascending-k accumulation order,
+/// zero-skip, and fused-epilogue contract — but every product goes
+/// through mitchell_mul.
+bool gemm_nt_rows(const PackedCodesView& a, const PackedCodesView& b,
+                  const float* bias, float* c, const ActEncode* ep,
+                  std::int64_t row_begin, std::int64_t row_end,
+                  std::int64_t k, std::int64_t n);
 
 }  // namespace plam
 

@@ -184,79 +184,57 @@ void decode_elems_avx2(const PackedCodesView& v, std::int64_t elem_begin,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM with a coded B^T operand (linear/attention layout; B [n,k] holds W
-// as codes).  Per 8-column panel the 8 coded B rows are LUT-expanded once
-// into a packed float panel, then every A row of the block sweeps it with
-// gemm_nt_rows_avx2's exact accumulation — the decode cost amortizes over
-// the row block while the loads the arithmetic sees are the same values
-// the float kernel reads from its [n,k] tensor.
+// Linear-layout GEMM (B^T [n, k] row-major, either operand floats or
+// codes): the shared body stages the operands (see gemm_nt_rows_with);
+// this panel runs 8 output columns per step, each column's dot product
+// in its own double lane (single chain per element, ascending p),
+// sweeping every A row of the block over the panel's 8 B rows — 8
+// forward streams, cache-friendly without packing.
 
-void gemm_codes_nt_float_avx2(const float* a, const PackedCodesView& b,
-                              const float* bias, float* c,
-                              std::int64_t row_begin, std::int64_t row_end,
-                              std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 8);
-  if (full_cols > 0 && row_end > row_begin) {
-    std::vector<float> rows8(static_cast<std::size_t>(k) * 8);
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      for (int r = 0; r < 8; ++r) {
-        decode_elems_avx2(b, (j + r) * k, k, rows8.data() + r * k);
-      }
-      const float* br0 = rows8.data();
-      const float* br1 = br0 + k;
-      const float* br2 = br1 + k;
-      const float* br3 = br2 + k;
-      const float* br4 = br3 + k;
-      const float* br5 = br4 + k;
-      const float* br6 = br5 + k;
-      const float* br7 = br6 + k;
-      for (std::int64_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a + i * k;
-        __m256d acc0;
-        __m256d acc1;
-        if (bias != nullptr) {
-          acc0 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
-          acc1 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j + 4));
-        } else {
-          acc0 = _mm256_setzero_pd();
-          acc1 = _mm256_setzero_pd();
-        }
-        for (std::int64_t p = 0; p < k; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const __m128 f0 = _mm_setr_ps(br0[p], br1[p], br2[p], br3[p]);
-          const __m128 f1 = _mm_setr_ps(br4[p], br5[p], br6[p], br7[p]);
-          const __m256d avv = _mm256_set1_pd(av);
-          acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(avv, _mm256_cvtps_pd(f0)));
-          acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(avv, _mm256_cvtps_pd(f1)));
-        }
-        float* crow = c + i * n;
-        _mm_storeu_ps(crow + j, _mm256_cvtpd_ps(acc0));
-        _mm_storeu_ps(crow + j + 4, _mm256_cvtpd_ps(acc1));
-      }
-    }
+void nt_panel_avx2(const float* a, const float* const* br, int w,
+                   const float* bias, float* c, std::int64_t rows,
+                   std::int64_t j, std::int64_t k, std::int64_t n) {
+  if (w < 8) {
+    detail::gemm_nt_ref_panel<ApproxMode::kExact>(a, br, w, bias, c, rows, j,
+                                                  k, n);
+    return;
   }
-  if (full_cols < n) {
-    detail::gemm_codes_nt_ref_block(a, b, bias, c, row_begin, row_end,
-                                    full_cols, n, k, n);
+  // A local copy lets the compiler keep the row pointers in registers;
+  // read through `br` they would be reloaded on every k step.
+  const float* b[8];
+  std::copy_n(br, 8, b);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * k;
+    __m256d acc0;
+    __m256d acc1;
+    if (bias != nullptr) {
+      acc0 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
+      acc1 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j + 4));
+    } else {
+      acc0 = _mm256_setzero_pd();
+      acc1 = _mm256_setzero_pd();
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      const double av = arow[p];
+      if (av == 0.0) continue;
+      const __m128 f0 = _mm_setr_ps(b[0][p], b[1][p], b[2][p], b[3][p]);
+      const __m128 f1 = _mm_setr_ps(b[4][p], b[5][p], b[6][p], b[7][p]);
+      const __m256d avv = _mm256_set1_pd(av);
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(avv, _mm256_cvtps_pd(f0)));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(avv, _mm256_cvtps_pd(f1)));
+    }
+    float* crow = c + i * n + j;
+    _mm_storeu_ps(crow, _mm256_cvtpd_ps(acc0));
+    _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(acc1));
   }
 }
 
-bool gemm_codes_nt_rows_avx2(const float* a, const PackedCodesView& b,
-                             const float* bias, float* c, const ActEncode* ep,
-                             std::int64_t row_begin, std::int64_t row_end,
-                             std::int64_t k, std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx2(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx2(a + row_begin * k, b, bias, c_block, 0, rows,
-                           k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
+bool gemm_nt_rows_avx2(const PackedCodesView& a, const PackedCodesView& b,
+                       const float* bias, float* c, const ActEncode* ep,
+                       std::int64_t row_begin, std::int64_t row_end,
+                       std::int64_t k, std::int64_t n) {
+  return detail::gemm_nt_rows_with(a, b, bias, c, ep, row_begin, row_end, k,
+                                   n, {8, decode_elems_avx2, nt_panel_avx2});
 }
 
 // ---------------------------------------------------------------------------
@@ -359,85 +337,6 @@ bool conv_codes_tile_avx2(const PackedCodesView& a, const ConvPatchView& x,
 }
 
 // ---------------------------------------------------------------------------
-// Both operands coded, linear layout, with the optional fused encode
-// epilogue.  Decode the coded activation row block once (same floats the
-// unfused path's activation tensor holds), run the proven coded-B^T
-// kernel over it, then — when an epilogue is attached — hand the staged
-// row block to the shared scalar encoder, so the only bytes that leave
-// are codes.
-
-bool gemm_codes_codes_nt_rows_avx2(const PackedCodesView& a,
-                                   const PackedCodesView& b, const float* bias,
-                                   float* c, const ActEncode* ep,
-                                   std::int64_t row_begin,
-                                   std::int64_t row_end, std::int64_t k,
-                                   std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx2(a, row_begin * k, rows * k, a_block.data());
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx2(a_block.data(), b, bias, c + row_begin * n, 0,
-                             rows, k, n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx2(a_block.data(), b, bias, c_block, 0, rows, k,
-                           n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM against B^T ([n, k] row-major): 8 output columns per step, each
-// column's dot product in its own double lane (single chain per element,
-// ascending p).  The 8 B rows are walked sequentially in p — 8 forward
-// streams, cache-friendly without packing.
-
-void gemm_nt_rows_avx2(const float* a, const float* b, const float* bias,
-                       float* c, std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 8);
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      const float* br0 = b + j * k;
-      const float* br1 = br0 + k;
-      const float* br2 = br1 + k;
-      const float* br3 = br2 + k;
-      const float* br4 = br3 + k;
-      const float* br5 = br4 + k;
-      const float* br6 = br5 + k;
-      const float* br7 = br6 + k;
-      __m256d acc0;
-      __m256d acc1;
-      if (bias != nullptr) {
-        acc0 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
-        acc1 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j + 4));
-      } else {
-        acc0 = _mm256_setzero_pd();
-        acc1 = _mm256_setzero_pd();
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const __m128 f0 = _mm_setr_ps(br0[p], br1[p], br2[p], br3[p]);
-        const __m128 f1 = _mm_setr_ps(br4[p], br5[p], br6[p], br7[p]);
-        const __m256d avv = _mm256_set1_pd(av);
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(avv, _mm256_cvtps_pd(f0)));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(avv, _mm256_cvtps_pd(f1)));
-      }
-      _mm_storeu_ps(crow + j, _mm256_cvtpd_ps(acc0));
-      _mm_storeu_ps(crow + j + 4, _mm256_cvtpd_ps(acc1));
-    }
-    if (full_cols < n) {
-      detail::gemm_nt_ref_block(a, b, bias, c, i, i + 1, full_cols, n, k, n);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Quantization: SIMD ordered-key computation + branchless boundary count.
 
 /// Branchless boundary search: count keys <= key inside the bucket (SIMD
@@ -524,9 +423,7 @@ const KernelTable* avx2_kernels_impl() {
   static constexpr KernelTable kTable{"avx2",
                                       gemm_rows_avx2,
                                       gemm_nt_rows_avx2,
-                                      gemm_codes_nt_rows_avx2,
                                       conv_codes_tile_avx2,
-                                      gemm_codes_codes_nt_rows_avx2,
                                       quantize_chunk_avx2,
                                       nearest_indices_avx2};
   return &kTable;

@@ -169,75 +169,61 @@ void decode_elems_avx512(const PackedCodesView& v, std::int64_t elem_begin,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM with a coded B^T operand (linear/attention layout).  Per 16-column
-// panel the 16 coded B rows are LUT-expanded once, then every A row of
-// the block sweeps them with the exact double-lane accumulation.
+// Linear-layout GEMM (B^T [n, k] row-major, either operand floats or
+// codes): the shared body stages the operands (see gemm_nt_rows_with);
+// this panel runs 16 output columns per step, each column's dot product
+// in its own double lane, sweeping every A row of the block over the
+// panel's 16 B rows.
 
-void gemm_codes_nt_float_avx512(const float* a, const PackedCodesView& b,
-                                const float* bias, float* c,
-                                std::int64_t row_begin, std::int64_t row_end,
-                                std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 16);
-  if (full_cols > 0 && row_end > row_begin) {
-    std::vector<float> rows16(static_cast<std::size_t>(k) * 16);
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      const float* br[16];
-      for (int r = 0; r < 16; ++r) {
-        decode_elems_avx512(b, (j + r) * k, k, rows16.data() + r * k);
-        br[r] = rows16.data() + r * k;
-      }
-      for (std::int64_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a + i * k;
-        __m512d acc0;
-        __m512d acc1;
-        if (bias != nullptr) {
-          acc0 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j));
-          acc1 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j + 8));
-        } else {
-          acc0 = _mm512_setzero_pd();
-          acc1 = _mm512_setzero_pd();
-        }
-        for (std::int64_t p = 0; p < k; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const __m256 f0 =
-              _mm256_setr_ps(br[0][p], br[1][p], br[2][p], br[3][p], br[4][p],
-                             br[5][p], br[6][p], br[7][p]);
-          const __m256 f1 =
-              _mm256_setr_ps(br[8][p], br[9][p], br[10][p], br[11][p],
-                             br[12][p], br[13][p], br[14][p], br[15][p]);
-          const __m512d avv = _mm512_set1_pd(av);
-          acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(avv, _mm512_cvtps_pd(f0)));
-          acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(avv, _mm512_cvtps_pd(f1)));
-        }
-        float* crow = c + i * n;
-        _mm256_storeu_ps(crow + j, _mm512_cvtpd_ps(acc0));
-        _mm256_storeu_ps(crow + j + 8, _mm512_cvtpd_ps(acc1));
-      }
-    }
+void nt_panel_avx512(const float* a, const float* const* br, int w,
+                     const float* bias, float* c, std::int64_t rows,
+                     std::int64_t j, std::int64_t k, std::int64_t n) {
+  if (w < 16) {
+    detail::gemm_nt_ref_panel<ApproxMode::kExact>(a, br, w, bias, c, rows, j,
+                                                  k, n);
+    return;
   }
-  if (full_cols < n) {
-    detail::gemm_codes_nt_ref_block(a, b, bias, c, row_begin, row_end,
-                                    full_cols, n, k, n);
+  // A local copy lets the compiler keep the row pointers in registers;
+  // read through `br` they would be reloaded on every k step.
+  const float* b[16];
+  std::copy_n(br, 16, b);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * k;
+    __m512d acc0;
+    __m512d acc1;
+    if (bias != nullptr) {
+      acc0 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j));
+      acc1 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j + 8));
+    } else {
+      acc0 = _mm512_setzero_pd();
+      acc1 = _mm512_setzero_pd();
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      const double av = arow[p];
+      if (av == 0.0) continue;
+      const __m256 f0 =
+          _mm256_setr_ps(b[0][p], b[1][p], b[2][p], b[3][p], b[4][p],
+                         b[5][p], b[6][p], b[7][p]);
+      const __m256 f1 =
+          _mm256_setr_ps(b[8][p], b[9][p], b[10][p], b[11][p], b[12][p],
+                         b[13][p], b[14][p], b[15][p]);
+      const __m512d avv = _mm512_set1_pd(av);
+      acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(avv, _mm512_cvtps_pd(f0)));
+      acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(avv, _mm512_cvtps_pd(f1)));
+    }
+    float* crow = c + i * n + j;
+    _mm256_storeu_ps(crow, _mm512_cvtpd_ps(acc0));
+    _mm256_storeu_ps(crow + 8, _mm512_cvtpd_ps(acc1));
   }
 }
 
-bool gemm_codes_nt_rows_avx512(const float* a, const PackedCodesView& b,
-                               const float* bias, float* c,
-                               const ActEncode* ep, std::int64_t row_begin,
-                               std::int64_t row_end, std::int64_t k,
-                               std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx512(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx512(a + row_begin * k, b, bias, c_block, 0,
-                             rows, k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
+bool gemm_nt_rows_avx512(const PackedCodesView& a, const PackedCodesView& b,
+                         const float* bias, float* c, const ActEncode* ep,
+                         std::int64_t row_begin, std::int64_t row_end,
+                         std::int64_t k, std::int64_t n) {
+  return detail::gemm_nt_rows_with(a, b, bias, c, ep, row_begin, row_end, k,
+                                   n, {16, decode_elems_avx512,
+                                       nt_panel_avx512});
 }
 
 // ---------------------------------------------------------------------------
@@ -361,80 +347,6 @@ bool conv_codes_tile_avx512(const PackedCodesView& a,
 }
 
 // ---------------------------------------------------------------------------
-// Both operands coded, linear layout, optional fused encode epilogue —
-// same staging discipline as the AVX2 table: only codes leave the kernel
-// when an epilogue is attached.
-
-bool gemm_codes_codes_nt_rows_avx512(const PackedCodesView& a,
-                                     const PackedCodesView& b,
-                                     const float* bias, float* c,
-                                     const ActEncode* ep,
-                                     std::int64_t row_begin,
-                                     std::int64_t row_end, std::int64_t k,
-                                     std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx512(a, row_begin * k, rows * k, a_block.data());
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx512(a_block.data(), b, bias, c + row_begin * n, 0,
-                               rows, k, n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx512(a_block.data(), b, bias, c_block, 0, rows,
-                             k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM against B^T ([n, k] row-major): 16 output columns per step, each
-// column's dot product in its own double lane.
-
-void gemm_nt_rows_avx512(const float* a, const float* b, const float* bias,
-                         float* c, std::int64_t row_begin,
-                         std::int64_t row_end, std::int64_t k,
-                         std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 16);
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      const float* br[16];
-      for (int r = 0; r < 16; ++r) br[r] = b + (j + r) * k;
-      __m512d acc0;
-      __m512d acc1;
-      if (bias != nullptr) {
-        acc0 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j));
-        acc1 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j + 8));
-      } else {
-        acc0 = _mm512_setzero_pd();
-        acc1 = _mm512_setzero_pd();
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const __m256 f0 =
-            _mm256_setr_ps(br[0][p], br[1][p], br[2][p], br[3][p], br[4][p],
-                           br[5][p], br[6][p], br[7][p]);
-        const __m256 f1 =
-            _mm256_setr_ps(br[8][p], br[9][p], br[10][p], br[11][p],
-                           br[12][p], br[13][p], br[14][p], br[15][p]);
-        const __m512d avv = _mm512_set1_pd(av);
-        acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(avv, _mm512_cvtps_pd(f0)));
-        acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(avv, _mm512_cvtps_pd(f1)));
-      }
-      _mm256_storeu_ps(crow + j, _mm512_cvtpd_ps(acc0));
-      _mm256_storeu_ps(crow + j + 8, _mm512_cvtpd_ps(acc1));
-    }
-    if (full_cols < n) {
-      detail::gemm_nt_ref_block(a, b, bias, c, i, i + 1, full_cols, n, k, n);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Quantization: SIMD ordered-key computation + branchless boundary count.
 
 /// Count keys <= key inside the bucket, 16 at a time.  AVX-512 compares
@@ -513,9 +425,7 @@ const KernelTable* avx512_kernels_impl() {
   static constexpr KernelTable kTable{"avx512",
                                       gemm_rows_avx512,
                                       gemm_nt_rows_avx512,
-                                      gemm_codes_nt_rows_avx512,
                                       conv_codes_tile_avx512,
-                                      gemm_codes_codes_nt_rows_avx512,
                                       quantize_chunk_avx512,
                                       nearest_indices_avx512};
   return &kTable;

@@ -19,21 +19,57 @@ void gemm_ref_block(const float* a, const float* b, const float* bias,
                     std::int64_t col_begin, std::int64_t col_end,
                     std::int64_t k, std::int64_t n);
 
-/// Reference for the B-transposed layout (B is [n,k] row-major); same
-/// accumulation contract as gemm_ref_block, so both layouts round
-/// identically.
-void gemm_nt_ref_block(const float* a, const float* b, const float* bias,
-                       float* c, std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t col_begin, std::int64_t col_end,
-                       std::int64_t k, std::int64_t n);
+/// Decode function of a table: dst[i] = lut[code at elem_begin + i] for
+/// i in [0, count), reading exactly those codes.
+using DecodeElemsFn = void (*)(const PackedCodesView& v,
+                               std::int64_t elem_begin, std::int64_t count,
+                               float* dst);
 
-/// Reference for a coded B^T operand (linear/attention: B [n,k] row-major
-/// holds W as codes); same accumulation contract as gemm_nt_ref_block.
-void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
-                             const float* bias, float* c,
-                             std::int64_t row_begin, std::int64_t row_end,
-                             std::int64_t col_begin, std::int64_t col_end,
-                             std::int64_t k, std::int64_t n);
+/// The reference decode (packed_decode_at per element).
+void decode_elems_ref(const PackedCodesView& v, std::int64_t elem_begin,
+                      std::int64_t count, float* dst);
+
+/// Widest column panel of the linear-layout GEMM.
+inline constexpr int kNtPanelMax = 16;
+
+/// Column panel of the linear-layout GEMM: for rows i in [0, rows) of
+/// the staged float A block `a` ([rows, k] row-major) and the `w`
+/// columns j + l whose B^T rows are br[l], C[i, j + l] = bias[j + l] (or
+/// 0) + sum over ascending p of a[i, p] * br[l][p] with zero a[i, p]
+/// skipped, accumulated in double and rounded once, into the C block `c`
+/// (row stride n).  A table's panel covers its full vector width and
+/// passes narrower panels to the reference.
+using NtPanelFn = void (*)(const float* a, const float* const* br, int w,
+                           const float* bias, float* c, std::int64_t rows,
+                           std::int64_t j, std::int64_t k, std::int64_t n);
+
+/// Reference panel: one body, instantiated with the exact IEEE multiply
+/// (the definition every table's panel must match bit-for-bit) and with
+/// plam::mitchell_mul (the LP_APPROX=plam kernel).  Both instantiations
+/// live in kernels_scalar.cpp.
+template <ApproxMode M>
+void gemm_nt_ref_panel(const float* a, const float* const* br, int w,
+                       const float* bias, float* c, std::int64_t rows,
+                       std::int64_t j, std::int64_t k, std::int64_t n);
+
+/// What a table plugs into the shared linear-layout GEMM body.
+struct NtKernel {
+  int width;             ///< columns per panel, <= kNtPanelMax
+  DecodeElemsFn decode;  ///< LUT decode of coded operand rows
+  NtPanelFn panel;
+};
+
+/// The body of every gemm_nt_rows (see GemmNtRowsFn).  Only the operand
+/// staging depends on the operand forms: a float A row block is read in
+/// place and a coded one decoded once into tile_scratch; per `width`
+/// panel, float B rows are read in place and coded ones decoded once;
+/// the C block is the caller's rows, or tile_scratch handed to
+/// encode_scratch_block when `ep` is set.  All arithmetic is kern.panel
+/// over staged floats, so the operand forms cannot change a bit.
+bool gemm_nt_rows_with(const PackedCodesView& a, const PackedCodesView& b,
+                       const float* bias, float* c, const ActEncode* ep,
+                       std::int64_t row_begin, std::int64_t row_end,
+                       std::int64_t k, std::int64_t n, const NtKernel& kern);
 
 /// Column geometry of one implicit-GEMM conv panel (see ConvPatchView):
 /// lane l covers patch column c0 + min(l, lanes - 1) — dead lanes past the
@@ -88,12 +124,6 @@ struct ConvRegion {
 /// more (very wide inputs) takes the reference gather instead.
 inline constexpr std::int64_t kConvRegionMaxFloats = std::int64_t{1} << 20;
 
-/// Decode function of a SIMD table: dst[i] = lut[code at elem_begin + i]
-/// for i in [0, count), reading exactly those codes.
-using DecodeElemsFn = void (*)(const PackedCodesView& v,
-                               std::int64_t elem_begin, std::int64_t count,
-                               float* dst);
-
 /// Stage the tile's input region into `region` (rg.floats(x.c_count)
 /// floats): one `decode` call per channel and image, or per input row
 /// when the region is narrower than the input; a float stream copies the
@@ -118,10 +148,11 @@ bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
                       float* vals, int width, std::int64_t r0,
                       std::int64_t rows, const ConvPanelCols& pc, int lanes);
 
-/// Thread-local float scratch for the conv tile kernels, one buffer per
-/// `slot` (0 = decoded weight rows, 1 = decoded patch panel, 2 = staged
-/// panel results, 3 = decoded input region).  Not zeroed; valid until
-/// the next call with the same slot on the same thread.
+/// Thread-local float scratch for the conv tile and linear-layout GEMM
+/// kernels, one buffer per `slot` (0 = decoded A rows, 1 = decoded patch
+/// panel or B^T rows, 2 = staged results ahead of an encode, 3 = decoded
+/// input region).  Not zeroed: every kernel writes what it reads.  Valid
+/// until the next call with the same slot on the same thread.
 [[nodiscard]] float* tile_scratch(int slot, std::int64_t count);
 
 /// Encode one finished output element for the fused epilogue: apply
@@ -144,15 +175,9 @@ bool encode_row_block(const ActEncode& ep, const float* src,
                       std::int64_t elem_begin, std::int64_t count);
 
 /// encode_row_block for callers that own `scratch` (the fused GEMM
-/// wrappers): applies ep.act in place, skipping the staging copy.
+/// epilogue): applies ep.act in place, skipping the staging copy.
 bool encode_scratch_block(const ActEncode& ep, float* scratch,
                           std::int64_t elem_begin, std::int64_t count);
-
-/// Thread-local float scratch sized for a fused row block — the GEMM
-/// writes every element before the epilogue reads it, so the buffer is
-/// deliberately not zeroed (a per-call std::vector would memset the whole
-/// block).  Valid until the next call on the same thread.
-[[nodiscard]] float* fused_scratch(std::int64_t count);
 
 /// Reference boundary search: index of the nearest table value for an
 /// ordered key (bucket jump + short scan / upper_bound).  Any search that

@@ -16,13 +16,16 @@
 // bound therefore composes linearly: |err(dot)| <= kPlamMaxRelError *
 // sum_k |a_k * b_k|, which is what the regression test checks.
 //
-// Scope: the two coded-B^T GEMM entries only (linear / attention /
-// patch-merge layers).  Convolution stays exact — its GroupGemm layout
-// never routes through these entry points — and non-finite operands fall
-// back to the exact product so inf/NaN semantics match the exact path.
+// Scope: the linear-layout GEMM entry only (linear / attention /
+// patch-merge layers).  Convolution stays exact — the conv tile never
+// routes through this entry point — and non-finite operands fall back to
+// the exact product so inf/NaN semantics match the exact path.  The
+// entry is the scalar table's body with the reference panel
+// instantiated on mitchell_mul: operand staging, loop order, bias
+// seeding, zero-skip and the fused epilogue are the exact kernel's own
+// code.
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "kernels/kernels_internal.h"
 
@@ -50,76 +53,14 @@ double mitchell_mul(double x, double y) {
   return (std::signbit(x) != std::signbit(y)) ? -mag : mag;
 }
 
-namespace {
-
-// Mirrors the scalar gemm_codes_nt_float loop structure (decode each
-// coded B row once, j outer / i inner) with mitchell_mul in place of the
-// IEEE multiply.  The zero-skip predicate is kept so an inf or NaN under
-// a structural zero never reaches the accumulator, exactly as in the
-// exact kernels.
-void gemm_codes_nt_float_plam(const float* a, const PackedCodesView& b,
-                              const float* bias, float* c,
-                              std::int64_t row_begin, std::int64_t row_end,
-                              std::int64_t k, std::int64_t n) {
-  std::vector<float> brow(static_cast<std::size_t>(k));
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      brow[static_cast<std::size_t>(p)] = packed_decode_at(b, j * k + p);
-    }
-    for (std::int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a + i * k;
-      double s = (bias != nullptr) ? bias[j] : 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        s += mitchell_mul(av, brow[static_cast<std::size_t>(p)]);
-      }
-      c[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-}  // namespace
-
-bool gemm_codes_nt_rows(const float* a, const PackedCodesView& b,
-                        const float* bias, float* c, const ActEncode* ep,
-                        std::int64_t row_begin, std::int64_t row_end,
-                        std::int64_t k, std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float_plam(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_plam(a + row_begin * k, b, bias, c_block, 0, rows,
-                           k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-bool gemm_codes_codes_nt_rows(const PackedCodesView& a,
-                              const PackedCodesView& b, const float* bias,
-                              float* c, const ActEncode* ep,
-                              std::int64_t row_begin, std::int64_t row_end,
-                              std::int64_t k, std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  for (std::int64_t t = 0; t < rows * k; ++t) {
-    a_block[static_cast<std::size_t>(t)] =
-        packed_decode_at(a, row_begin * k + t);
-  }
-  if (ep == nullptr) {
-    gemm_codes_nt_float_plam(a_block.data(), b, bias, c + row_begin * n, 0,
-                             rows, k, n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_plam(a_block.data(), b, bias, c_block, 0, rows, k,
-                           n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
+bool gemm_nt_rows(const PackedCodesView& a, const PackedCodesView& b,
+                  const float* bias, float* c, const ActEncode* ep,
+                  std::int64_t row_begin, std::int64_t row_end,
+                  std::int64_t k, std::int64_t n) {
+  return detail::gemm_nt_rows_with(
+      a, b, bias, c, ep, row_begin, row_end, k, n,
+      {detail::kNtPanelMax, detail::decode_elems_ref,
+       detail::gemm_nt_ref_panel<ApproxMode::kPlam>});
 }
 
 }  // namespace lp::kernels::plam

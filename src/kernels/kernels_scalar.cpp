@@ -45,44 +45,79 @@ void gemm_ref_block(const float* a, const float* b, const float* bias,
   }
 }
 
-void gemm_nt_ref_block(const float* a, const float* b, const float* bias,
-                       float* c, std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t col_begin, std::int64_t col_end,
-                       std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
+void decode_elems_ref(const PackedCodesView& v, std::int64_t elem_begin,
+                      std::int64_t count, float* dst) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    dst[i] = packed_decode_at(v, elem_begin + i);
+  }
+}
+
+template <ApproxMode M>
+void gemm_nt_ref_panel(const float* a, const float* const* br, int w,
+                       const float* bias, float* c, std::int64_t rows,
+                       std::int64_t j, std::int64_t k, std::int64_t n) {
+  for (std::int64_t i = 0; i < rows; ++i) {
     const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = col_begin; j < col_end; ++j) {
-      const float* brow = b + j * k;
-      double s = (bias != nullptr) ? bias[j] : 0.0;
+    float* crow = c + i * n + j;
+    for (int l = 0; l < w; ++l) {
+      const float* brow = br[l];
+      double s = (bias != nullptr) ? bias[j + l] : 0.0;
       for (std::int64_t p = 0; p < k; ++p) {
         const double av = arow[p];
         if (av == 0.0) continue;
-        s += av * brow[p];
+        if constexpr (M == ApproxMode::kPlam) {
+          s += plam::mitchell_mul(av, brow[p]);
+        } else {
+          s += av * brow[p];
+        }
       }
-      crow[j] = static_cast<float>(s);
+      crow[l] = static_cast<float>(s);
     }
   }
 }
 
-void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
-                             const float* bias, float* c,
-                             std::int64_t row_begin, std::int64_t row_end,
-                             std::int64_t col_begin, std::int64_t col_end,
-                             std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = col_begin; j < col_end; ++j) {
-      double s = (bias != nullptr) ? bias[j] : 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        s += av * packed_decode_at(b, j * k + p);
-      }
-      crow[j] = static_cast<float>(s);
-    }
+template void gemm_nt_ref_panel<ApproxMode::kExact>(
+    const float*, const float* const*, int, const float*, float*,
+    std::int64_t, std::int64_t, std::int64_t, std::int64_t);
+template void gemm_nt_ref_panel<ApproxMode::kPlam>(
+    const float*, const float* const*, int, const float*, float*,
+    std::int64_t, std::int64_t, std::int64_t, std::int64_t);
+
+bool gemm_nt_rows_with(const PackedCodesView& a, const PackedCodesView& b,
+                       const float* bias, float* c, const ActEncode* ep,
+                       std::int64_t row_begin, std::int64_t row_end,
+                       std::int64_t k, std::int64_t n, const NtKernel& kern) {
+  const std::int64_t rows = row_end - row_begin;
+  if (rows <= 0) return true;
+  const float* a_block = nullptr;
+  if (a.lut == nullptr) {
+    a_block = a.floats() + row_begin * k;
+  } else {
+    float* const dec = tile_scratch(0, rows * k);
+    kern.decode(a, row_begin * k, rows * k, dec);
+    a_block = dec;
   }
+  float* const b_rows =
+      b.lut == nullptr ? nullptr : tile_scratch(1, kern.width * k);
+  float* const c_block =
+      ep == nullptr ? c + row_begin * n : tile_scratch(2, rows * n);
+  const float* br[kNtPanelMax];
+  for (std::int64_t j = 0; j < n; j += kern.width) {
+    const int w = static_cast<int>(std::min<std::int64_t>(kern.width, n - j));
+    for (int l = 0; l < w; ++l) {
+      if (b_rows == nullptr) {
+        br[l] = b.floats() + (j + l) * k;
+      } else {
+        kern.decode(b, (j + l) * k, k, b_rows + l * k);
+        br[l] = b_rows + l * k;
+      }
+    }
+    kern.panel(a_block, br, w, bias, c_block, rows, j, k, n);
+  }
+  // Fused epilogue: the finished rows are exactly what the unfused path's
+  // tensor would hold; act + encode them so only codes leave the kernel.
+  return ep == nullptr ||
+         encode_scratch_block(*ep, c_block, row_begin * n, rows * n);
 }
 
 bool encode_elem(const ActEncode& ep, float v, std::int64_t e) {
@@ -207,14 +242,6 @@ bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
     }
   }
   return ok;
-}
-
-float* fused_scratch(std::int64_t count) {
-  thread_local std::vector<float> buf;
-  if (static_cast<std::int64_t>(buf.size()) < count) {
-    buf.resize(static_cast<std::size_t>(count));
-  }
-  return buf.data();
 }
 
 float* tile_scratch(int slot, std::int64_t count) {
@@ -376,58 +403,14 @@ void gemm_rows_scalar(const float* a, const float* b, const float* bias,
   detail::gemm_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
 }
 
-void gemm_nt_rows_scalar(const float* a, const float* b, const float* bias,
-                         float* c, std::int64_t row_begin,
-                         std::int64_t row_end, std::int64_t k,
-                         std::int64_t n) {
-  detail::gemm_nt_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
-}
-
-void gemm_codes_nt_float(const float* a, const PackedCodesView& b,
-                         const float* bias, float* c, std::int64_t row_begin,
-                         std::int64_t row_end, std::int64_t k,
-                         std::int64_t n) {
-  // Decode each coded B row once and sweep every A row over it (j outer,
-  // i inner) — the reference block's i-outer order would re-decode row j
-  // per output row.  Each c[i,j] is an independent dot product with the
-  // same ascending-p arithmetic, so the interchange cannot affect results.
-  std::vector<float> brow(static_cast<std::size_t>(k));
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      brow[static_cast<std::size_t>(p)] = packed_decode_at(b, j * k + p);
-    }
-    for (std::int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a + i * k;
-      double s = (bias != nullptr) ? bias[j] : 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        s += av * brow[static_cast<std::size_t>(p)];
-      }
-      c[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-bool gemm_codes_nt_rows_scalar(const float* a, const PackedCodesView& b,
-                               const float* bias, float* c,
-                               const ActEncode* ep, std::int64_t row_begin,
-                               std::int64_t row_end, std::int64_t k,
-                               std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  // Fused epilogue: stage the finished float rows in kernel-local scratch
-  // (the values are exactly what the unfused path's tensor would hold),
-  // then act + encode each element — only codes leave the kernel.
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float(a + row_begin * k, b, bias, c_block, 0, rows, k,
-                      n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
+bool gemm_nt_rows_scalar(const PackedCodesView& a, const PackedCodesView& b,
+                         const float* bias, float* c, const ActEncode* ep,
+                         std::int64_t row_begin, std::int64_t row_end,
+                         std::int64_t k, std::int64_t n) {
+  return detail::gemm_nt_rows_with(
+      a, b, bias, c, ep, row_begin, row_end, k, n,
+      {detail::kNtPanelMax, detail::decode_elems_ref,
+       detail::gemm_nt_ref_panel<ApproxMode::kExact>});
 }
 
 bool conv_codes_tile_scalar(const PackedCodesView& a, const ConvPatchView& x,
@@ -439,9 +422,7 @@ bool conv_codes_tile_scalar(const PackedCodesView& a, const ConvPatchView& x,
   const std::int64_t rows = r1 - r0;
   if (rows <= 0 || c1 <= c0) return true;
   float* const a_block = detail::tile_scratch(0, rows * k);
-  for (std::int64_t t = 0; t < rows * k; ++t) {
-    a_block[t] = packed_decode_at(a, r0 * k + t);
-  }
+  detail::decode_elems_ref(a, r0 * k, rows * k, a_block);
   float* const panel = detail::tile_scratch(1, k * kWidth);
   float* const vals = detail::tile_scratch(2, rows * kWidth);
   detail::ConvPanelCols pc;
@@ -467,35 +448,6 @@ bool conv_codes_tile_scalar(const PackedCodesView& a, const ConvPatchView& x,
          ok;
   }
   return ok;
-}
-
-bool gemm_codes_codes_nt_rows_scalar(const PackedCodesView& a,
-                                     const PackedCodesView& b,
-                                     const float* bias, float* c,
-                                     const ActEncode* ep,
-                                     std::int64_t row_begin,
-                                     std::int64_t row_end, std::int64_t k,
-                                     std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  // Decode the coded A row block once (the decoded floats ARE the floats
-  // the unfused path's activation tensor holds, by the LUT contract), then
-  // run the existing coded-B^T reference over it.  Composing the two
-  // proven paths keeps one definition of the accumulation order.
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  for (std::int64_t t = 0; t < rows * k; ++t) {
-    a_block[static_cast<std::size_t>(t)] =
-        packed_decode_at(a, row_begin * k + t);
-  }
-  if (ep == nullptr) {
-    gemm_codes_nt_float(a_block.data(), b, bias, c + row_begin * n, 0, rows, k,
-                        n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float(a_block.data(), b, bias, c_block, 0, rows, k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
 }
 
 double quantize_chunk_scalar(const QuantIndexView& v, float* xs,
@@ -536,9 +488,7 @@ const KernelTable& scalar_kernels() {
   static constexpr KernelTable kTable{"scalar",
                                       gemm_rows_scalar,
                                       gemm_nt_rows_scalar,
-                                      gemm_codes_nt_rows_scalar,
                                       conv_codes_tile_scalar,
-                                      gemm_codes_codes_nt_rows_scalar,
                                       quantize_chunk_scalar,
                                       nearest_indices_scalar};
   return kTable;

@@ -98,10 +98,7 @@ ForwardResult Model::forward_quantized(const Tensor& input, const QuantSpec& spe
                "QuantSpec sized " << spec.weight_fmt.size() << " but model has "
                                   << slots_.size() << " slots");
   const std::vector<Tensor> quantized = quantize_weights(*this, spec);
-  RunCtx ctx;
-  ctx.weight_override = &quantized;
-  ctx.quant = &spec;
-  return run(input, ctx, capture_pooled);
+  return forward_with_weights(input, quantized, spec, capture_pooled);
 }
 
 ForwardResult Model::forward_with_weights(const Tensor& input,
@@ -111,36 +108,13 @@ ForwardResult Model::forward_with_weights(const Tensor& input,
   LP_CHECK_MSG(finalized_, "call finalize() first");
   LP_CHECK(weights.size() == slots_.size());
   LP_CHECK(act_spec.act_fmt.size() == slots_.size());
+  // Empty tensors fall back to the FP weights (a null pointer).
+  std::vector<const Tensor*> ptrs(weights.size(), nullptr);
+  for (std::size_t s = 0; s < weights.size(); ++s) {
+    if (!weights[s].empty()) ptrs[s] = &weights[s];
+  }
   RunCtx ctx;
-  ctx.weight_override = &weights;
-  ctx.quant = &act_spec;
-  return run(input, ctx, capture_pooled);
-}
-
-ForwardResult Model::forward_with_weights(const Tensor& input,
-                                          std::span<const Tensor* const> weights,
-                                          const QuantSpec& act_spec,
-                                          bool capture_pooled) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  LP_CHECK(weights.size() == slots_.size());
-  LP_CHECK(act_spec.act_fmt.size() == slots_.size());
-  RunCtx ctx;
-  ctx.weight_ptr_override = weights;
-  ctx.quant = &act_spec;
-  return run(input, ctx, capture_pooled);
-}
-
-ForwardResult Model::forward_with_weights(
-    const Tensor& input, std::span<const Tensor* const> weights,
-    std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,
-    bool capture_pooled) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  LP_CHECK(weights.size() == slots_.size());
-  LP_CHECK(codes.size() == slots_.size());
-  LP_CHECK(act_spec.act_fmt.size() == slots_.size());
-  RunCtx ctx;
-  ctx.weight_ptr_override = weights;
-  ctx.weight_code_override = codes;
+  ctx.weight_ptr_override = ptrs;
   ctx.quant = &act_spec;
   return run(input, ctx, capture_pooled);
 }

@@ -59,32 +59,19 @@ class Model {
       const Tensor& input, const std::vector<Tensor>& weights,
       const QuantSpec& act_spec, bool capture_pooled = false) const;
 
-  /// Zero-copy variant: per-slot borrowed weight pointers (null entries
-  /// fall back to the FP weights).  This is the entry point the runtime
-  /// layer uses so one cached quantized tensor can serve many runs without
-  /// per-run copies.  The pointed-to tensors must outlive the call.
-  [[nodiscard]] ForwardResult forward_with_weights(
-      const Tensor& input, std::span<const Tensor* const> weights,
-      const QuantSpec& act_spec, bool capture_pooled = false) const;
-
-  /// Packed-code variant: slots with a non-null `codes` entry run the
-  /// LUT-decoding GEMM datapath (bit-identical to decoding first); null
-  /// code entries fall back to `weights`, then to the FP weights.  This
-  /// is what the runtime layer calls once its weight-code cache holds
-  /// packed payloads.  Pointed-to objects must outlive the call.
-  [[nodiscard]] ForwardResult forward_with_weights(
-      const Tensor& input, std::span<const Tensor* const> weights,
-      std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,
-      bool capture_pooled = false) const;
-
-  /// Coded-activation variant: slots with a populated `act_coding` entry
-  /// emit their output activations as packed codes, which downstream
-  /// weighted nodes consume coded (other consumers decode lazily) — the
-  /// logits are bit-identical to the packed-code variant above.
-  /// `act_coding` must be empty or slot-sized; `act_traffic` (optional)
-  /// accumulates the activation bytes each weighted node produced.
-  /// Requesting pooled capture forces every edge back to float.  `opts`
-  /// selects multiply semantics and float-in fusion (see ExecOpts).
+  /// Borrowed-pointer variant, the entry point the runtime layer uses so
+  /// one cached quantized weight serves many runs without per-run copies:
+  /// per-slot weight pointers (null entries fall back to the FP weights)
+  /// and packed codes (slots with a non-null entry run the LUT-decoding
+  /// GEMM datapath, bit-identical to decoding first).  Slots with a
+  /// populated `act_coding` entry emit their output activations as packed
+  /// codes, which downstream weighted nodes consume coded (other
+  /// consumers decode lazily) — the logits are bit-identical to the float
+  /// activations.  `act_coding` must be empty or slot-sized;
+  /// `act_traffic` (optional) accumulates the activation bytes each node
+  /// produced.  Requesting pooled capture forces every edge back to
+  /// float.  `opts` selects multiply semantics and float-in fusion (see
+  /// ExecOpts).  Pointed-to objects must outlive the call.
   [[nodiscard]] ForwardResult forward_with_weights(
       const Tensor& input, std::span<const Tensor* const> weights,
       std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,

@@ -114,18 +114,15 @@ struct ActTraffic {
 
 /// Execution context threaded through every node.
 struct RunCtx {
-  /// Quantized weight copies, indexed by slot; empty = use FP weights.
-  const std::vector<Tensor>* weight_override = nullptr;
-  /// Borrowed per-slot weight pointers (null entries = FP weights).  The
-  /// zero-copy variant of weight_override used by the runtime layer, whose
-  /// weight-code cache shares one quantized tensor across many runs.
-  /// Checked before weight_override.
+  /// Borrowed per-slot quantized weights (null entries = FP weights).
+  /// The runtime layer's weight-code cache shares one quantized tensor
+  /// across many runs through these.
   std::span<const Tensor* const> weight_ptr_override;
   /// Borrowed per-slot packed weight codes (null entries fall through to
-  /// the float overrides above).  When a slot has codes, weighted nodes
+  /// the float weights above).  When a slot has codes, weighted nodes
   /// run the LUT-decoding GEMM kernels instead of expanding the weights
   /// to float32 — bit-identical output, 4-8x fewer weight bytes streamed.
-  /// Checked before both float overrides.
+  /// Checked before the float weights.
   std::span<const PackedCodes* const> weight_code_override;
   /// Activation formats per slot; null entries = no activation quant.
   const QuantSpec* quant = nullptr;
@@ -168,11 +165,6 @@ struct RunCtx {
     if (slot >= 0 && static_cast<std::size_t>(slot) < weight_ptr_override.size() &&
         weight_ptr_override[static_cast<std::size_t>(slot)] != nullptr) {
       return *weight_ptr_override[static_cast<std::size_t>(slot)];
-    }
-    if (weight_override != nullptr && slot >= 0 &&
-        static_cast<std::size_t>(slot) < weight_override->size() &&
-        !(*weight_override)[static_cast<std::size_t>(slot)].empty()) {
-      return (*weight_override)[static_cast<std::size_t>(slot)];
     }
     return fp;
   }

@@ -252,10 +252,8 @@ NodeValue LinearNode::run(std::span<const NodeValue* const> x,
   // in one kernel pass — the layer's activations never exist as a float
   // tensor even though its input arrived dense.
   if (codes != nullptr && icodes == nullptr && coding != nullptr && ctx.fuse) {
-    const Tensor& d = in.dense();
-    const Tensor in2 = (ish.size() == 3) ? d.reshaped({rows, ish[2]}) : d;
     auto out = matmul_nt_codes_enc(
-        in2, *codes, bias,
+        in.dense(), *codes, bias,
         {coding->qidx->view(), coding->lut, coding->bits, act_kernel(act_)},
         ctx.approx);
     if (out.has_value()) {
@@ -264,17 +262,16 @@ NodeValue LinearNode::run(std::span<const NodeValue* const> x,
       return NodeValue(std::move(*out));
     }
   }
+  // The matmul_nt entries flatten a rank-3 input's leading dims.
   Tensor out;
   if (codes != nullptr && icodes != nullptr) {
     out = matmul_nt_codes_codes(*icodes, *codes, bias, ctx.approx);
+  } else if (codes != nullptr) {
+    out = matmul_nt_codes(in.dense(), *codes, bias, ctx.approx);
   } else {
-    const Tensor& d = in.dense();
-    const Tensor in2 =
-        (ish.size() == 3) ? d.reshaped({rows, ish[2]}) : d;
-    out = codes != nullptr ? matmul_nt_codes(in2, *codes, bias, ctx.approx)
-                           : matmul_nt(in2, w, bias);
+    out = matmul_nt(in.dense(), w, bias);
   }
-  if (ish.size() == 3) out = out.reshaped({ish[0], ish[1], w.dim(0)});
+  if (ish.size() == 3) out.reshape({ish[0], ish[1], w.dim(0)});
   apply_act(out, act_);
   return finish_act(ctx, s, coding, std::move(out));
 }
@@ -308,7 +305,6 @@ Tensor AttentionNode::attend(const Tensor& tokens, const RunCtx& ctx) const {
   const std::int64_t dh = d / heads_;
   const int s0 = first_slot();
 
-  const Tensor flat = tokens.reshaped({b * t, d});
   std::array<Tensor, 3> qkv;
   for (int i = 0; i < 3; ++i) {
     const auto& sl = slots_[static_cast<std::size_t>(i)];
@@ -320,8 +316,8 @@ Tensor AttentionNode::attend(const Tensor& tokens, const RunCtx& ctx) const {
     const Tensor* bias = sl.bias.empty() ? nullptr : &sl.bias;
     const PackedCodes* codes = ctx.weight_codes(s0 + i);
     qkv[static_cast<std::size_t>(i)] =
-        codes != nullptr ? matmul_nt_codes(flat, *codes, bias, ctx.approx)
-                         : matmul_nt(flat, w, bias);
+        codes != nullptr ? matmul_nt_codes(tokens, *codes, bias, ctx.approx)
+                         : matmul_nt(tokens, w, bias);
     quantize_activations(qkv[static_cast<std::size_t>(i)],
                          ctx.act_format(s0 + i));
   }
@@ -370,7 +366,8 @@ Tensor AttentionNode::attend(const Tensor& tokens, const RunCtx& ctx) const {
                    ? matmul_nt_codes(concat, *ocodes, obias, ctx.approx)
                    : matmul_nt(concat, wo, obias);
   quantize_activations(out, ctx.act_format(s0 + 3));
-  return out.reshaped({b, t, d});
+  out.reshape({b, t, d});
+  return out;
 }
 
 NodeValue AttentionNode::run(std::span<const NodeValue* const> x,
@@ -619,10 +616,10 @@ NodeValue PatchMergeNode::run(std::span<const NodeValue* const> x,
     }
   }
   quantize_activations(out, ctx.act_format(s));
-  Tensor shaped = out.reshaped({b, oh * ow, w.dim(0)});
-  capture_pooled(ctx, shaped);
-  count_float(ctx, shaped);
-  return NodeValue(std::move(shaped));
+  out.reshape({b, oh * ow, w.dim(0)});
+  capture_pooled(ctx, out);
+  count_float(ctx, out);
+  return NodeValue(std::move(out));
 }
 
 }  // namespace lp::nn

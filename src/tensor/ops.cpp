@@ -59,46 +59,40 @@ void gemm_parallel(const float* a, const float* b, const float* bias, float* c,
                  });
 }
 
-/// Shared serial/parallel split for the coded-B^T GEMMs.  The nt kernels
-/// decode the whole B operand per row-block call (O(n*k)); a block must
-/// carry enough A rows to amortize that, or a short A split into one-row
-/// blocks pays the decode m times over.  Rows are independent, so
-/// coarsening the grain cannot affect results.
-void for_nt_row_blocks(
-    std::int64_t m, std::int64_t k, std::int64_t n,
-    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& body) {
-  constexpr std::int64_t kMinDecodeRows = 16;
-  if (m * k * n < kGemmSerialBelow || m <= kMinDecodeRows) {
-    body(0, m, 0);
-  } else {
-    ThreadPool& pool = default_pool();
-    const std::int64_t grain =
-        std::max(balanced_grain(m, pool.thread_count()), kMinDecodeRows);
-    parallel_for(pool, 0, m, grain, body);
-  }
-}
-
-/// Row-parallel float-A × coded-B^T GEMM with the optional fused encode
-/// epilogue and multiply-semantics selection.  kExact routes through the
-/// dispatched table; kPlam routes through the scalar log-domain
-/// approximate kernel (see kernels_plam.cpp).  Returns false when any
-/// row block reported a non-finite output.
-bool gemm_codes_nt_parallel(const float* a, const kernels::PackedCodesView& b,
-                            const float* bias, float* c,
-                            const kernels::ActEncode* ep,
-                            kernels::ApproxMode approx, std::int64_t m,
-                            std::int64_t k, std::int64_t n) {
-  const kernels::GemmCodesNtRowsFn fn =
-      approx == kernels::ApproxMode::kPlam
-          ? &kernels::plam::gemm_codes_nt_rows
-          : kernels::dispatch().gemm_codes_nt_rows;
+/// The one linear-layout GEMM driver: every matmul_nt* entry runs the
+/// gemm_nt_rows kernel (float or coded operands, optional fused encode
+/// epilogue) over row blocks of the default pool.  kExact routes through
+/// the dispatched table; kPlam through the log-domain approximate kernel
+/// (see kernels_plam.cpp).  A coded B is decoded once per row-block call
+/// (O(n*k)), so a block must then carry at least kMinDecodeRows rows to
+/// amortize it; a float B has nothing to amortize and takes the balanced
+/// grain.  Rows are independent, so no split can change a result.
+/// Returns false when any row block reported a non-finite output (all
+/// blocks still run; the caller discards the stream).
+bool gemm_nt_parallel(const kernels::PackedCodesView& a,
+                      const kernels::PackedCodesView& b, const float* bias,
+                      float* c, const kernels::ActEncode* ep,
+                      kernels::ApproxMode approx, std::int64_t m,
+                      std::int64_t k, std::int64_t n) {
+  const kernels::GemmNtRowsFn fn = approx == kernels::ApproxMode::kPlam
+                                       ? &kernels::plam::gemm_nt_rows
+                                       : kernels::dispatch().gemm_nt_rows;
   std::atomic<bool> ok{true};
   auto body = [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
     if (!fn(a, b, bias, c, ep, row_begin, row_end, k, n)) {
       ok.store(false, std::memory_order_relaxed);
     }
   };
-  for_nt_row_blocks(m, k, n, body);
+  constexpr std::int64_t kMinDecodeRows = 16;
+  const std::int64_t min_rows = b.lut != nullptr ? kMinDecodeRows : 1;
+  if (m * k * n < kGemmSerialBelow || m <= min_rows) {
+    body(0, m, 0);
+  } else {
+    ThreadPool& pool = default_pool();
+    const std::int64_t grain =
+        std::max(balanced_grain(m, pool.thread_count()), min_rows);
+    parallel_for(pool, 0, m, grain, body);
+  }
   // Chaos harness: pretend the epilogue saw a non-finite output, so the
   // caller exercises the real escape hatch (discard the coded stream,
   // re-run the edge unfused — bit-identical by the fusion contract).
@@ -108,33 +102,62 @@ bool gemm_codes_nt_parallel(const float* a, const kernels::PackedCodesView& b,
   return ok.load(std::memory_order_relaxed);
 }
 
-/// Row-parallel both-coded nt GEMM with the optional fused encode
-/// epilogue.  Returns false when any row block reported a non-finite
-/// output (all blocks still run; the caller discards the stream).  Same
-/// decode-amortizing grain as matmul_nt_codes: the nt kernels expand the
-/// whole B operand per row-block call.
-bool gemm_codes_codes_nt_parallel(const kernels::PackedCodesView& a,
-                                  const kernels::PackedCodesView& b,
-                                  const float* bias, float* c,
-                                  const kernels::ActEncode* ep,
-                                  kernels::ApproxMode approx, std::int64_t m,
-                                  std::int64_t k, std::int64_t n) {
-  const kernels::GemmCodesCodesNtRowsFn fn =
-      approx == kernels::ApproxMode::kPlam
-          ? &kernels::plam::gemm_codes_codes_nt_rows
-          : kernels::dispatch().gemm_codes_codes_nt_rows;
-  std::atomic<bool> ok{true};
-  auto body = [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-    if (!fn(a, b, bias, c, ep, row_begin, row_end, k, n)) {
-      ok.store(false, std::memory_order_relaxed);
-    }
-  };
-  for_nt_row_blocks(m, k, n, body);
-  // Same escape-hatch injection as gemm_codes_nt_parallel above.
-  if (ep != nullptr && LP_FAULT_POINT("kernel.epilogue.nonfinite")) {
-    return false;
+/// Shape of a linear-layout GEMM: A [..., K] (leading dims flatten to M,
+/// so rank-3 token activations need no reshape), B [N, K], optional bias
+/// [N].
+struct NtDims {
+  std::int64_t m, k, n;
+};
+
+NtDims nt_dims(const std::vector<std::int64_t>& a,
+               const std::vector<std::int64_t>& b, const Tensor* bias) {
+  LP_CHECK(a.size() >= 2 && b.size() == 2);
+  const std::int64_t k = a.back();
+  LP_CHECK_MSG(k == b[1], "matmul_nt inner dims " << k << " vs " << b[1]);
+  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == b[0]);
+  std::int64_t m = 1;
+  for (std::size_t i = 0; i + 1 < a.size(); ++i) m *= a[i];
+  return {m, k, b[0]};
+}
+
+kernels::PackedCodesView operand(const Tensor& t) {
+  return kernels::float_view(t.raw());
+}
+kernels::PackedCodesView operand(const PackedCodes& t) { return t.view(); }
+
+const float* bias_data(const Tensor* bias) {
+  return bias != nullptr ? bias->raw() : nullptr;
+}
+
+/// matmul_nt over any operand forms into a float [M, N] result.
+template <typename A, typename B>
+Tensor nt_float_out(const A& a, const B& b, const Tensor* bias,
+                    kernels::ApproxMode approx) {
+  const NtDims d = nt_dims(a.shape(), b.shape(), bias);
+  Tensor c({d.m, d.n});
+  (void)gemm_nt_parallel(operand(a), operand(b), bias_data(bias), c.raw(),
+                         nullptr, approx, d.m, d.k, d.n);
+  return c;
+}
+
+/// matmul_nt over any operand forms with the fused encode epilogue into a
+/// coded [M, N] result, or nullopt when an output was non-finite.
+template <typename A, typename B>
+std::optional<PackedCodes> nt_coded_out(const A& a, const B& b,
+                                        const Tensor* bias,
+                                        const ActEncodeSpec& enc,
+                                        kernels::ApproxMode approx) {
+  const NtDims d = nt_dims(a.shape(), b.shape(), bias);
+  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
+  std::vector<std::uint8_t> codes(
+      PackedCodes::stream_bytes(d.m * d.n, enc.bits));
+  const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
+  if (!gemm_nt_parallel(operand(a), operand(b), bias_data(bias), nullptr, &ep,
+                        approx, d.m, d.k, d.n)) {
+    return std::nullopt;
   }
-  return ok.load(std::memory_order_relaxed);
+  return PackedCodes::from_codes(std::move(codes), {d.m, d.n}, enc.bits,
+                                 enc.lut);
 }
 
 }  // namespace
@@ -154,41 +177,12 @@ Tensor matmul(const Tensor& a, const Tensor& b, const Tensor* bias) {
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b, const Tensor* bias) {
-  LP_CHECK(a.rank() == 2 && b.rank() == 2);
-  LP_CHECK_MSG(a.dim(1) == b.dim(1), "matmul_nt inner dims " << a.dim(1) << " vs "
-                                                             << b.dim(1));
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(0);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  Tensor c({m, n});
-  // Same accumulation contract as gemm_parallel: double accumulator,
-  // ascending-k contributions, zero A entries skipped — so matmul(A,B) and
-  // matmul_nt(A,B^T) are bit-identical under every dispatch variant.
-  const kernels::KernelTable& kt = kernels::dispatch();
-  const float* bias_raw = bias != nullptr ? bias->raw() : nullptr;
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_nt_rows(a.raw(), b.raw(), bias_raw, c.raw(),
-                                   row_begin, row_end, k, n);
-                 });
-  return c;
+  return nt_float_out(a, b, bias, kernels::ApproxMode::kExact);
 }
 
 Tensor matmul_nt_codes(const Tensor& a, const PackedCodes& b,
                        const Tensor* bias, kernels::ApproxMode approx) {
-  LP_CHECK(a.rank() == 2 && b.rank() == 2);
-  LP_CHECK_MSG(a.dim(1) == b.dim(1), "matmul_nt_codes inner dims "
-                                         << a.dim(1) << " vs " << b.dim(1));
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(0);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  Tensor c({m, n});
-  (void)gemm_codes_nt_parallel(a.raw(), b.view(),
-                               bias != nullptr ? bias->raw() : nullptr,
-                               c.raw(), nullptr, approx, m, k, n);
-  return c;
+  return nt_float_out(a, b, bias, approx);
 }
 
 std::optional<PackedCodes> matmul_nt_codes_enc(const Tensor& a,
@@ -196,38 +190,12 @@ std::optional<PackedCodes> matmul_nt_codes_enc(const Tensor& a,
                                                const Tensor* bias,
                                                const ActEncodeSpec& enc,
                                                kernels::ApproxMode approx) {
-  LP_CHECK(a.rank() == 2 && b.rank() == 2);
-  LP_CHECK_MSG(a.dim(1) == b.dim(1), "matmul_nt_codes inner dims "
-                                         << a.dim(1) << " vs " << b.dim(1));
-  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(0);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(m * n, enc.bits));
-  const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
-  if (!gemm_codes_nt_parallel(a.raw(), b.view(),
-                              bias != nullptr ? bias->raw() : nullptr, nullptr,
-                              &ep, approx, m, k, n)) {
-    return std::nullopt;
-  }
-  return PackedCodes::from_codes(std::move(codes), {m, n}, enc.bits, enc.lut);
+  return nt_coded_out(a, b, bias, enc, approx);
 }
 
 Tensor matmul_nt_codes_codes(const PackedCodes& a, const PackedCodes& b,
                              const Tensor* bias, kernels::ApproxMode approx) {
-  LP_CHECK(a.rank() >= 2 && b.rank() == 2);
-  const std::int64_t k = a.shape().back();
-  LP_CHECK_MSG(k == b.dim(1), "matmul_nt_codes_codes inner dims "
-                                  << k << " vs " << b.dim(1));
-  const std::int64_t m = a.numel() / k;
-  const std::int64_t n = b.dim(0);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  Tensor c({m, n});
-  (void)gemm_codes_codes_nt_parallel(
-      a.view(), b.view(), bias != nullptr ? bias->raw() : nullptr, c.raw(),
-      nullptr, approx, m, k, n);
-  return c;
+  return nt_float_out(a, b, bias, approx);
 }
 
 std::optional<PackedCodes> matmul_nt_codes_codes_enc(const PackedCodes& a,
@@ -235,22 +203,7 @@ std::optional<PackedCodes> matmul_nt_codes_codes_enc(const PackedCodes& a,
                                                      const Tensor* bias,
                                                      const ActEncodeSpec& enc,
                                                      kernels::ApproxMode approx) {
-  LP_CHECK(a.rank() >= 2 && b.rank() == 2);
-  const std::int64_t k = a.shape().back();
-  LP_CHECK_MSG(k == b.dim(1), "matmul_nt_codes_codes inner dims "
-                                  << k << " vs " << b.dim(1));
-  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
-  const std::int64_t m = a.numel() / k;
-  const std::int64_t n = b.dim(0);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(m * n, enc.bits));
-  const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
-  if (!gemm_codes_codes_nt_parallel(a.view(), b.view(),
-                                    bias != nullptr ? bias->raw() : nullptr,
-                                    nullptr, &ep, approx, m, k, n)) {
-    return std::nullopt;
-  }
-  return PackedCodes::from_codes(std::move(codes), {m, n}, enc.bits, enc.lut);
+  return nt_coded_out(a, b, bias, enc, approx);
 }
 
 std::optional<PackedCodes> encode_acts(const Tensor& t,

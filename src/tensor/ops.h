@@ -31,7 +31,11 @@ void quantize_inplace(Tensor& t, const NumberFormat& fmt);
 
 /// C[M,N] = A[M,K] * B[N,K]^T (+bias[N] if non-null).  This is the
 /// fully-connected / attention-projection layout.  Same accumulation
-/// contract as matmul (see above).
+/// contract as matmul (see above).  A's leading dims flatten to M, so a
+/// rank-3 token tensor [B,T,K] needs no reshape copy; the result is
+/// [M,N].  Every matmul_nt* variant below runs the same kernel entry
+/// over float or coded operand views, so each is bit-identical to
+/// matmul_nt over the decoded operands.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b,
                                const Tensor* bias = nullptr);
 
@@ -70,11 +74,9 @@ struct ActEncodeSpec {
     const ActEncodeSpec& enc,
     kernels::ApproxMode approx = kernels::ApproxMode::kExact);
 
-/// matmul_nt with BOTH operands coded: A [..., K] holds activation codes
-/// (leading dims flatten to M, so rank-3 token activations need no
-/// reshape copy), B [N,K] holds weight codes, each decoded through its
-/// own LUT inside the kernel.  Bit-identical to matmul_nt over the
-/// decoded operands.  Result is [M, N].
+/// matmul_nt with BOTH operands coded: A [..., K] holds activation codes,
+/// B [N,K] holds weight codes, each decoded through its own LUT inside
+/// the kernel.  Bit-identical to matmul_nt over the decoded operands.
 [[nodiscard]] Tensor matmul_nt_codes_codes(
     const PackedCodes& a, const PackedCodes& b, const Tensor* bias = nullptr,
     kernels::ApproxMode approx = kernels::ApproxMode::kExact);

@@ -4,17 +4,19 @@
 
 namespace lp {
 
-Tensor Tensor::reshaped(std::vector<std::int64_t> new_shape) const {
+void Tensor::reshape(std::vector<std::int64_t> new_shape) {
   std::int64_t n = 1;
   for (auto d : new_shape) {
     LP_CHECK(d >= 0);
     n *= d;
   }
   LP_CHECK_MSG(n == numel_, "reshape numel mismatch: " << n << " vs " << numel_);
-  Tensor out;
-  out.shape_ = std::move(new_shape);
-  out.data_ = data_;
-  out.numel_ = numel_;
+  shape_ = std::move(new_shape);
+}
+
+Tensor Tensor::reshaped(std::vector<std::int64_t> new_shape) const {
+  Tensor out = *this;
+  out.reshape(std::move(new_shape));
   return out;
 }
 

@@ -86,8 +86,11 @@ class Tensor {
     return const_cast<Tensor*>(this)->at4(n, c, h, w);
   }
 
-  /// Reshape to a compatible shape (same numel); returns a copy-free view
-  /// of *this (value semantics: shape metadata changes only).
+  /// Reinterpret the shape in place (same numel); no data moves.
+  void reshape(std::vector<std::int64_t> new_shape);
+
+  /// Copy of *this with a compatible shape (same numel).  Copies every
+  /// element (value semantics); reshape a tensor you own instead.
   [[nodiscard]] Tensor reshaped(std::vector<std::int64_t> new_shape) const;
 
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }

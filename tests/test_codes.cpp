@@ -1,8 +1,8 @@
 // Packed weight-code datapath tests.
 //
 // The central contract: LUT-decoding GEMM (the conv tile over a coded A
-// operand, run as a 1x1 conv over a float input, and gemm_codes_nt_rows
-// with a coded B^T operand) is bit-identical to decode-then-GEMM for
+// operand, run as a 1x1 conv over a float input, and gemm_nt_rows with
+// a coded B^T operand) is bit-identical to decode-then-GEMM for
 // every kernel table, every code width (4-bit packed through 16-bit),
 // and every shape — including decode tables with
 // denormal and ±inf entries, structural zeros under infinities, unaligned
@@ -19,10 +19,13 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lp_format.h"
 #include "core/packed_codes.h"
+#include "core/quant_index.h"
 #include "kernels/kernels.h"
 #include "nn/zoo.h"
 #include "runtime/session.h"
@@ -113,6 +116,51 @@ const GemmShape kShapes[] = {{1, 1, 1},  {2, 3, 5},   {3, 7, 9},
                              {5, 16, 8}, {4, 17, 33}, {7, 64, 31},
                              {8, 129, 40}};
 
+constexpr std::uint8_t kUnwritten = 0xA5;
+
+/// Encode table of the fused-epilogue forms: coarse and fine values
+/// across the adversarial magnitudes.
+const QuantIndex& encode_index() {
+  static const QuantIndex qi(
+      std::vector<double>{-1e30, -1.0, -1e-30, 0.0, 1e-30, 1.0, 1e30});
+  return qi;
+}
+
+/// gemm_nt_rows with the fused encode epilogue (act none, 8-bit codes)
+/// into a fresh kUnwritten-filled stream; `ok` gets the kernel's verdict.
+std::vector<std::uint8_t> nt_encoded(const kernels::KernelTable& t,
+                                     const kernels::PackedCodesView& a,
+                                     const kernels::PackedCodesView& b,
+                                     const float* bias, std::int64_t m,
+                                     std::int64_t k, std::int64_t n,
+                                     bool& ok) {
+  std::vector<std::uint8_t> codes(static_cast<std::size_t>(m * n), kUnwritten);
+  const kernels::ActEncode ep{encode_index().view(), codes.data(), 8,
+                              kernels::kActNone};
+  ok = t.gemm_nt_rows(a, b, bias, nullptr, &ep, 0, m, k, n);
+  return codes;
+}
+
+/// Oracle of nt_encoded: the codes the nearest-index search assigns to
+/// the float result `c` (kUnwritten where it has none), and whether every
+/// element was finite.
+std::pair<std::vector<std::uint8_t>, bool> expected_codes(
+    const std::vector<float>& c) {
+  std::vector<std::uint32_t> idx(c.size());
+  kernels::scalar_kernels().nearest_indices(encode_index().view(), c.data(),
+                                            idx.data(), c.size());
+  std::vector<std::uint8_t> codes(c.size(), kUnwritten);
+  bool ok = true;
+  for (std::size_t e = 0; e < c.size(); ++e) {
+    if (idx[e] == kernels::kInvalidIndex) {
+      ok = false;
+    } else {
+      codes[e] = static_cast<std::uint8_t>(idx[e]);
+    }
+  }
+  return {codes, ok};
+}
+
 /// The [k, n] row-major float matrix `b` as the input of a 1x1 conv over
 /// [1, k, 1, n]: patch element (p, col) is b[p * n + col], so the conv
 /// tile over an [m, k] coded weight computes decode(A) * B, and output
@@ -155,7 +203,7 @@ class CodesKernelTest : public ::testing::Test {
 TEST_F(CodesKernelTest, TablesCarryCodeKernels) {
   for (const auto* t : tables_) {
     EXPECT_NE(t->conv_codes_tile, nullptr) << t->name;
-    EXPECT_NE(t->gemm_codes_nt_rows, nullptr) << t->name;
+    EXPECT_NE(t->gemm_nt_rows, nullptr) << t->name;
   }
 }
 
@@ -225,14 +273,17 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
   }
 }
 
-/// gemm_codes_nt_rows (coded B^T, the linear layout) against
-/// decode-then-gemm_nt_rows, with ±inf decode-table entries guarded by
-/// structural zeros in float A.
+/// gemm_nt_rows with a coded B^T (the linear layout) against
+/// decode-then-gemm_nt_rows on the scalar reference over float views,
+/// with ±inf decode-table entries guarded by structural zeros in A.  A
+/// comes float, or coded in the same width and LUT; each form also runs
+/// with the fused encode epilogue against the reference's codes.
 TEST_F(CodesKernelTest, CodedBtBitIdenticalToDecodeThenGemm) {
   for (const int bits : {4, 8, 16}) {
     const std::size_t lut_size = bits == 4 ? 16 : bits == 8 ? 254 : 4000;
     const std::vector<float> lut = adversarial_lut(lut_size, true, 23);
     for (const GemmShape& s : kShapes) {
+      const std::size_t an = static_cast<std::size_t>(s.m * s.k);
       const std::size_t bn = static_cast<std::size_t>(s.n * s.k);
       Rng rng(7 + static_cast<std::uint64_t>(bits) + bn);
       std::vector<std::uint32_t> idx(bn);
@@ -247,29 +298,57 @@ TEST_F(CodesKernelTest, CodedBtBitIdenticalToDecodeThenGemm) {
 
       std::vector<float> b_dec(bn);
       for (std::size_t i = 0; i < bn; ++i) b_dec[i] = lut[idx[i]];
-      std::vector<float> a(static_cast<std::size_t>(s.m * s.k));
+      std::vector<float> a(an);
       std::vector<float> bias(static_cast<std::size_t>(s.n));
       for (auto& v : a) v = static_cast<float>(rng.gaussian());
       for (auto& v : bias) v = static_cast<float>(rng.gaussian());
-      // a[i, 0] = 0 shields whatever ±inf codes landed in B's k-position 0
-      // behind the zero-skip, exactly like the float kernels' contract.
+      std::vector<std::uint32_t> a_idx(an);
+      for (auto& v : a_idx) {
+        v = static_cast<std::uint32_t>(
+            rng.uniform(0.0, static_cast<double>(lut_size) - 0.5));
+      }
+      // A[i, 0] = 0 (the zero code when coded) shields whatever ±inf codes
+      // landed in B's k-position 0 behind the zero-skip, exactly like the
+      // float kernels' contract.
       for (std::int64_t i = 0; i < s.m; ++i) {
         a[static_cast<std::size_t>(i * s.k)] = 0.0F;
+        a_idx[static_cast<std::size_t>(i * s.k)] = 0;
       }
+      const std::vector<std::uint8_t> a_stream = pack_raw(a_idx, bits, 0);
+      std::vector<float> a_dec(an);
+      for (std::size_t i = 0; i < an; ++i) a_dec[i] = lut[a_idx[i]];
+      const kernels::PackedCodesView a_view{
+          a_stream.data(), 0, bits, lut.data(),
+          static_cast<std::uint32_t>(lut_size)};
 
       const std::size_t cn = static_cast<std::size_t>(s.m * s.n);
       std::vector<float> c_ref(cn);
       std::vector<float> c_got(cn);
-      for (const float* bp : {static_cast<const float*>(nullptr),
-                              static_cast<const float*>(bias.data())}) {
-        kernels::scalar_kernels().gemm_nt_rows(a.data(), b_dec.data(), bp,
-                                               c_ref.data(), 0, s.m, s.k, s.n);
-        for (const auto* t : tables_) {
-          t->gemm_codes_nt_rows(a.data(), view, bp, c_got.data(), nullptr, 0,
-                                s.m, s.k, s.n);
-          EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
-              << t->name << " bits=" << bits << " " << s.m << "x" << s.k << "x"
-              << s.n << (bp != nullptr ? " +bias" : "");
+      for (const bool coded_a : {false, true}) {
+        const kernels::PackedCodesView av =
+            coded_a ? a_view : kernels::float_view(a.data());
+        const float* a_ref = coded_a ? a_dec.data() : a.data();
+        for (const float* bp : {static_cast<const float*>(nullptr),
+                                static_cast<const float*>(bias.data())}) {
+          ASSERT_TRUE(kernels::scalar_kernels().gemm_nt_rows(
+              kernels::float_view(a_ref), kernels::float_view(b_dec.data()),
+              bp, c_ref.data(), nullptr, 0, s.m, s.k, s.n));
+          const auto [want, want_ok] = expected_codes(c_ref);
+          for (const auto* t : tables_) {
+            const std::string tag =
+                std::string(t->name) + " bits=" + std::to_string(bits) + " " +
+                std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                std::to_string(s.n) + (coded_a ? " codedA" : "") +
+                (bp != nullptr ? " +bias" : "");
+            ASSERT_TRUE(t->gemm_nt_rows(av, view, bp, c_got.data(), nullptr,
+                                        0, s.m, s.k, s.n));
+            EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
+                << tag;
+            bool ok = false;
+            EXPECT_EQ(nt_encoded(*t, av, view, bp, s.m, s.k, s.n, ok), want)
+                << tag << " +encode";
+            EXPECT_EQ(ok, want_ok) << tag << " +encode";
+          }
         }
       }
     }
@@ -310,14 +389,35 @@ TEST_F(CodesKernelTest, SplitRowRangesMatchFullRange) {
     EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
         << t->name << " conv_codes_tile";
 
-    t->gemm_codes_nt_rows(x.data(), bv, nullptr, c_full.data(), nullptr, 0,
-                          s.m, s.k, s.n);
-    for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
-      t->gemm_codes_nt_rows(x.data(), bv, nullptr, c_split.data(), nullptr,
-                            cuts[ci], cuts[ci + 1], s.k, s.n);
+    for (const kernels::PackedCodesView& a_form :
+         {kernels::float_view(x.data()), av}) {
+      const std::string tag = std::string(t->name) + " gemm_nt_rows" +
+                              (a_form.lut != nullptr ? " codedA" : "");
+      ASSERT_TRUE(t->gemm_nt_rows(a_form, bv, nullptr, c_full.data(), nullptr,
+                                  0, s.m, s.k, s.n));
+      for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
+        ASSERT_TRUE(t->gemm_nt_rows(a_form, bv, nullptr, c_split.data(),
+                                    nullptr, cuts[ci], cuts[ci + 1], s.k,
+                                    s.n));
+      }
+      EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
+          << tag;
+
+      bool full_ok = false;
+      const std::vector<std::uint8_t> full =
+          nt_encoded(*t, a_form, bv, nullptr, s.m, s.k, s.n, full_ok);
+      std::vector<std::uint8_t> split(full.size(), kUnwritten);
+      const kernels::ActEncode ep{encode_index().view(), split.data(), 8,
+                                  kernels::kActNone};
+      bool split_ok = true;
+      for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
+        split_ok = t->gemm_nt_rows(a_form, bv, nullptr, nullptr, &ep, cuts[ci],
+                                   cuts[ci + 1], s.k, s.n) &&
+                   split_ok;
+      }
+      EXPECT_EQ(full, split) << tag << " +encode";
+      EXPECT_EQ(full_ok, split_ok) << tag << " +encode";
     }
-    EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
-        << t->name << " codes_nt_rows";
   }
 }
 

@@ -17,6 +17,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/lp_codec.h"
 #include "core/lp_format.h"
@@ -56,6 +57,45 @@ bool bitwise_equal(const float* a, const float* b, std::int64_t n) {
   return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
 }
 
+/// 16-bit code stream 0, 1, ..., n - 1: over a LUT holding a float matrix
+/// it is a coded operand that decodes to exactly that matrix.
+std::vector<std::uint8_t> identity_codes(std::size_t n) {
+  std::vector<std::uint8_t> stream(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stream[2 * i] = static_cast<std::uint8_t>(i & 0xFFU);
+    stream[2 * i + 1] = static_cast<std::uint8_t>(i >> 8);
+  }
+  return stream;
+}
+
+kernels::PackedCodesView coded16(const std::vector<std::uint8_t>& stream,
+                                 const std::vector<float>& lut) {
+  return {stream.data(), 0, 16, lut.data(),
+          static_cast<std::uint32_t>(lut.size())};
+}
+
+constexpr std::uint8_t kUnwritten = 0xA5;
+
+/// Oracle of the fused encode epilogue (act none, 8-bit codes): the codes
+/// the nearest-index search assigns to the float result `c` — elements
+/// it has no code for keep kUnwritten — and whether every element was
+/// finite.
+std::pair<std::vector<std::uint8_t>, bool> expected_codes(
+    const kernels::QuantIndexView& q, const std::vector<float>& c) {
+  std::vector<std::uint32_t> idx(c.size());
+  kernels::scalar_kernels().nearest_indices(q, c.data(), idx.data(), c.size());
+  std::vector<std::uint8_t> codes(c.size(), kUnwritten);
+  bool ok = true;
+  for (std::size_t e = 0; e < c.size(); ++e) {
+    if (idx[e] == kernels::kInvalidIndex) {
+      ok = false;
+    } else {
+      codes[e] = static_cast<std::uint8_t>(idx[e]);
+    }
+  }
+  return {codes, ok};
+}
+
 struct GemmShape {
   std::int64_t m, k, n;
 };
@@ -77,9 +117,7 @@ TEST_F(KernelTablesTest, ScalarAlwaysFirstAndComplete) {
     EXPECT_NE(t->name, nullptr);
     EXPECT_NE(t->gemm_rows, nullptr);
     EXPECT_NE(t->gemm_nt_rows, nullptr);
-    EXPECT_NE(t->gemm_codes_nt_rows, nullptr);
     EXPECT_NE(t->conv_codes_tile, nullptr);
-    EXPECT_NE(t->gemm_codes_codes_nt_rows, nullptr);
     EXPECT_NE(t->quantize_chunk, nullptr);
     EXPECT_NE(t->nearest_indices, nullptr);
   }
@@ -268,6 +306,8 @@ class GemmBitEquality : public KernelTablesTest {
             b[static_cast<std::size_t>(p * s.n + j)];
       }
     }
+    const std::vector<std::uint8_t> a_codes = identity_codes(a.size());
+    const std::vector<std::uint8_t> bt_codes = identity_codes(bt.size());
     const std::size_t cn = mm * static_cast<std::size_t>(s.n);
     std::vector<float> c_ref(cn), c_tab(cn);
     for (const float* bp : {static_cast<const float*>(nullptr),
@@ -279,15 +319,44 @@ class GemmBitEquality : public KernelTablesTest {
           << table.name << " gemm_rows " << s.m << "x" << s.k << "x" << s.n
           << (bp != nullptr ? " +bias" : "") << (inject_inf ? " +inf" : "");
 
-      kernels::scalar_kernels().gemm_nt_rows(a.data(), bt.data(), bp,
-                                             c_ref.data(), 0, s.m, s.k, s.n);
-      table.gemm_nt_rows(a.data(), bt.data(), bp, c_tab.data(), 0, s.m, s.k,
-                         s.n);
-      EXPECT_TRUE(bitwise_equal(c_ref.data(), c_tab.data(), s.m * s.n))
-          << table.name << " gemm_nt_rows " << s.m << "x" << s.k << "x" << s.n
-          << (bp != nullptr ? " +bias" : "") << (inject_inf ? " +inf" : "");
+      // gemm_nt_rows: the scalar entry over float views is the oracle of
+      // every operand form — float, or 16-bit codes whose LUT holds the
+      // same adversarial values — with and without the fused encode.
+      ASSERT_TRUE(kernels::scalar_kernels().gemm_nt_rows(
+          kernels::float_view(a.data()), kernels::float_view(bt.data()), bp,
+          c_ref.data(), nullptr, 0, s.m, s.k, s.n));
+      const auto [want_codes, want_ok] = expected_codes(qi_.view(), c_ref);
+      for (const kernels::PackedCodesView& av :
+           {kernels::float_view(a.data()), coded16(a_codes, a)}) {
+        for (const kernels::PackedCodesView& bv :
+             {kernels::float_view(bt.data()), coded16(bt_codes, bt)}) {
+          const std::string tag =
+              std::string(table.name) + " gemm_nt_rows " +
+              std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+              std::to_string(s.n) + (av.lut != nullptr ? " codedA" : "") +
+              (bv.lut != nullptr ? " codedB" : "") +
+              (bp != nullptr ? " +bias" : "") + (inject_inf ? " +inf" : "");
+          ASSERT_TRUE(table.gemm_nt_rows(av, bv, bp, c_tab.data(), nullptr, 0,
+                                         s.m, s.k, s.n));
+          EXPECT_TRUE(bitwise_equal(c_ref.data(), c_tab.data(), s.m * s.n))
+              << tag;
+          std::vector<std::uint8_t> codes(cn, kUnwritten);
+          const kernels::ActEncode ep{qi_.view(), codes.data(), 8,
+                                      kernels::kActNone};
+          EXPECT_EQ(table.gemm_nt_rows(av, bv, bp, nullptr, &ep, 0, s.m, s.k,
+                                       s.n),
+                    want_ok)
+              << tag << " +encode";
+          EXPECT_EQ(codes, want_codes) << tag << " +encode";
+        }
+      }
     }
   }
+
+  /// Encode table of the fused-epilogue form: coarse and fine values
+  /// across the adversarial magnitudes.
+  const QuantIndex qi_{std::vector<double>{-1e30, -1.0, -1e-30, 0.0, 1e-30,
+                                           1.0, 1e30}};
 };
 
 TEST_F(GemmBitEquality, AllTablesAllShapes) {
@@ -547,11 +616,12 @@ TEST(PlamGemm, DotProductErrorWithinLinearBound) {
     std::vector<float> c_ref(cn), c_plam(cn);
     for (const float* bp : {static_cast<const float*>(nullptr),
                             static_cast<const float*>(bias.data())}) {
-      kernels::scalar_kernels().gemm_codes_nt_rows(a.data(), view, bp,
-                                                   c_ref.data(), nullptr, 0,
-                                                   s.m, s.k, s.n);
-      ASSERT_TRUE(kernels::plam::gemm_codes_nt_rows(
-          a.data(), view, bp, c_plam.data(), nullptr, 0, s.m, s.k, s.n));
+      ASSERT_TRUE(kernels::scalar_kernels().gemm_nt_rows(
+          kernels::float_view(a.data()), view, bp, c_ref.data(), nullptr, 0,
+          s.m, s.k, s.n));
+      ASSERT_TRUE(kernels::plam::gemm_nt_rows(kernels::float_view(a.data()),
+                                              view, bp, c_plam.data(), nullptr,
+                                              0, s.m, s.k, s.n));
       for (std::int64_t i = 0; i < s.m; ++i) {
         for (std::int64_t j = 0; j < s.n; ++j) {
           double sumabs = 0.0;
@@ -575,9 +645,9 @@ TEST(PlamGemm, DotProductErrorWithinLinearBound) {
 }
 
 TEST(PlamGemm, CodedAOperandMatchesDecodedAOperand) {
-  // The codes-codes plam kernel decodes A exactly and multiplies the same
-  // way, so it must be bit-identical to the float-A plam kernel on the
-  // decoded operand.
+  // The plam kernel decodes a coded A exactly and multiplies the same
+  // way, so a coded A must be bit-identical to the decoded float A — and
+  // the fused encode must emit the codes of that float result.
   std::vector<float> lut(32);
   Rng lrng(11);
   lut[0] = 0.0F;
@@ -597,11 +667,26 @@ TEST(PlamGemm, CodedAOperandMatchesDecodedAOperand) {
 
   const std::size_t cn = static_cast<std::size_t>(s.m * s.n);
   std::vector<float> c_float_a(cn), c_coded_a(cn);
-  ASSERT_TRUE(kernels::plam::gemm_codes_nt_rows(
-      a_dec.data(), bv, nullptr, c_float_a.data(), nullptr, 0, s.m, s.k, s.n));
-  ASSERT_TRUE(kernels::plam::gemm_codes_codes_nt_rows(
-      av, bv, nullptr, c_coded_a.data(), nullptr, 0, s.m, s.k, s.n));
+  ASSERT_TRUE(kernels::plam::gemm_nt_rows(kernels::float_view(a_dec.data()),
+                                          bv, nullptr, c_float_a.data(),
+                                          nullptr, 0, s.m, s.k, s.n));
+  ASSERT_TRUE(kernels::plam::gemm_nt_rows(av, bv, nullptr, c_coded_a.data(),
+                                          nullptr, 0, s.m, s.k, s.n));
   EXPECT_TRUE(bitwise_equal(c_float_a.data(), c_coded_a.data(), s.m * s.n));
+
+  std::vector<double> vals(lut.begin(), lut.end());
+  std::sort(vals.begin(), vals.end());
+  const QuantIndex qi(vals);
+  const auto [want_codes, want_ok] = expected_codes(qi.view(), c_float_a);
+  ASSERT_TRUE(want_ok);
+  for (const kernels::PackedCodesView& a_form :
+       {kernels::float_view(a_dec.data()), av}) {
+    std::vector<std::uint8_t> codes(cn, kUnwritten);
+    const kernels::ActEncode ep{qi.view(), codes.data(), 8, kernels::kActNone};
+    EXPECT_TRUE(kernels::plam::gemm_nt_rows(a_form, bv, nullptr, nullptr, &ep,
+                                            0, s.m, s.k, s.n));
+    EXPECT_EQ(codes, want_codes) << (a_form.lut != nullptr ? "coded A" : "float A");
+  }
 }
 
 TEST(PlamGemm, CrossValidatesAgainstLpaDatapathSim) {

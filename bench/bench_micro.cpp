@@ -515,16 +515,29 @@ BENCHMARK(BM_GemmCodesNtAvx512)
     ->ArgNames({"n", "coded"})
     ->Unit(benchmark::kMillisecond);
 
+/// Input shapes of the quantize-kernel rows.  kGauss8 (the bare row
+/// names): Gaussian activations through the 8-bit LP table.  kRelu8: the
+/// same table over a ReLU-shaped buffer, half exact zeros, so the zero
+/// bucket carries half the lanes.  kDense12: a 12-bit table, whose dense
+/// buckets take the search several halvings per lane.
+enum class QuantArm { kGauss8, kRelu8, kDense12 };
+
 /// Quantize-kernel A/B on one 1M-element buffer (quantization is
 /// idempotent, so work per iteration is stable after the first pass).
 void run_quantize_kernel_bench(benchmark::State& state,
-                               const kernels::KernelTable& kt) {
-  const LPFormat fmt(LPConfig{8, 1, 4, 3.0});
-  const QuantIndex index(fmt.all_values());
+                               const kernels::KernelTable& kt, QuantArm arm) {
+  const std::vector<double> values =
+      arm == QuantArm::kDense12
+          ? CodeTable(LPConfig{12, 2, 5, 0.5}).values()
+          : LPFormat(LPConfig{8, 1, 4, 3.0}).all_values();
+  const QuantIndex index(values);
   const kernels::QuantIndexView view = index.view();
   Rng rng(1);
   std::vector<float> data(1U << 20);
   for (auto& x : data) x = static_cast<float>(rng.gaussian(0.0, 0.1));
+  if (arm == QuantArm::kRelu8) {
+    for (auto& x : data) x = std::max(x, 0.0F);
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(kt.quantize_chunk(view, data.data(), data.size()));
   }
@@ -532,30 +545,43 @@ void run_quantize_kernel_bench(benchmark::State& state,
                           static_cast<std::int64_t>(data.size()));
 }
 
-void BM_QuantizeKernelScalar(benchmark::State& state) {
-  run_quantize_kernel_bench(state, kernels::scalar_kernels());
+/// One quantize-kernel row per (table, arm): the table when this host can
+/// run it, else a skip.
+void BM_QuantizeKernelScalar(benchmark::State& state, QuantArm arm) {
+  run_quantize_kernel_bench(state, kernels::scalar_kernels(), arm);
 }
-BENCHMARK(BM_QuantizeKernelScalar);
 
-void BM_QuantizeKernelAvx2(benchmark::State& state) {
+void BM_QuantizeKernelAvx2(benchmark::State& state, QuantArm arm) {
   const kernels::KernelTable* kt = kernels::avx2_kernels();
   if (kt == nullptr || !kernels::cpu_supports_avx2()) {
     state.SkipWithError("AVX2 unavailable on this host");
     return;
   }
-  run_quantize_kernel_bench(state, *kt);
+  run_quantize_kernel_bench(state, *kt, arm);
 }
-BENCHMARK(BM_QuantizeKernelAvx2);
 
-void BM_QuantizeKernelAvx512(benchmark::State& state) {
+void BM_QuantizeKernelAvx512(benchmark::State& state, QuantArm arm) {
   const kernels::KernelTable* kt = kernels::avx512_kernels();
   if (kt == nullptr || !kernels::cpu_supports_avx512()) {
     state.SkipWithError("AVX-512 unavailable on this host");
     return;
   }
-  run_quantize_kernel_bench(state, *kt);
+  run_quantize_kernel_bench(state, *kt, arm);
 }
-BENCHMARK(BM_QuantizeKernelAvx512);
+
+// The Gaussian 8-bit arm keeps the bare row names the CI JSON compares.
+BENCHMARK_CAPTURE(BM_QuantizeKernelScalar, , QuantArm::kGauss8)
+    ->Name("BM_QuantizeKernelScalar");
+BENCHMARK_CAPTURE(BM_QuantizeKernelScalar, relu, QuantArm::kRelu8);
+BENCHMARK_CAPTURE(BM_QuantizeKernelScalar, dense12, QuantArm::kDense12);
+BENCHMARK_CAPTURE(BM_QuantizeKernelAvx2, , QuantArm::kGauss8)
+    ->Name("BM_QuantizeKernelAvx2");
+BENCHMARK_CAPTURE(BM_QuantizeKernelAvx2, relu, QuantArm::kRelu8);
+BENCHMARK_CAPTURE(BM_QuantizeKernelAvx2, dense12, QuantArm::kDense12);
+BENCHMARK_CAPTURE(BM_QuantizeKernelAvx512, , QuantArm::kGauss8)
+    ->Name("BM_QuantizeKernelAvx512");
+BENCHMARK_CAPTURE(BM_QuantizeKernelAvx512, relu, QuantArm::kRelu8);
+BENCHMARK_CAPTURE(BM_QuantizeKernelAvx512, dense12, QuantArm::kDense12);
 
 // --- runtime weight-code-cache benches ------------------------------------
 // One GA generation's fitness evaluations over a population whose members
@@ -845,7 +871,7 @@ void BM_ForwardFloatActs(benchmark::State& state) {
   run_forward_acts_bench(state, /*coded=*/false);
 }
 BENCHMARK(BM_ForwardFloatActs)
-    ->Arg(1)->Arg(8)
+    ->Arg(1)->Arg(8)->Arg(32)
     ->ArgNames({"batch"})
     ->Unit(benchmark::kMillisecond);
 
@@ -856,7 +882,7 @@ void BM_ForwardCodedActs(benchmark::State& state) {
   run_forward_acts_bench(state, /*coded=*/true, /*fuse=*/false);
 }
 BENCHMARK(BM_ForwardCodedActs)
-    ->Arg(1)->Arg(8)
+    ->Arg(1)->Arg(8)->Arg(32)
     ->ArgNames({"batch"})
     ->Unit(benchmark::kMillisecond);
 
@@ -869,7 +895,7 @@ void BM_ForwardFused(benchmark::State& state) {
   run_forward_acts_bench(state, /*coded=*/true, /*fuse=*/true);
 }
 BENCHMARK(BM_ForwardFused)
-    ->Arg(1)->Arg(8)
+    ->Arg(1)->Arg(8)->Arg(32)
     ->ArgNames({"batch"})
     ->Unit(benchmark::kMillisecond);
 

@@ -1,14 +1,21 @@
+#include <immintrin.h>
+
 #include "kernels.h"
 
 namespace lp::kernels {
 namespace {
 
+// Packed-double FMA over widened floats: the one fused form a SIMD table
+// may use (the product of two floats is exact in double).
 void gemm_rows_avx512(const float* a, const float* b, float* c, long rows,
                       long k, long n) {
   for (long i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (long kk = 0; kk < k; ++kk) acc += a[i * k + kk] * b[kk * n];
-    c[i * n] = static_cast<float>(acc);
+    __m512d acc = _mm512_setzero_pd();
+    for (long kk = 0; kk < k; ++kk) {
+      acc = _mm512_fmadd_pd(_mm512_set1_pd(a[i * k + kk]),
+                            _mm512_set1_pd(b[kk * n]), acc);
+    }
+    c[i * n] = static_cast<float>(_mm512_cvtsd_f64(acc));
   }
 }
 

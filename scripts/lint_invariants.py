@@ -20,8 +20,10 @@ determinism (docs/STATIC_ANALYSIS.md documents the "why" per rule):
                       (fault_injection.h) — a typo'd point is a fault plan
                       that silently never fires
   float-accum         kernel inner loops accumulate in double (no float /
-                      packed-single accumulators, no *_ps adds or FMAs),
-                      and the root build pins -ffp-contract=off
+                      packed-single accumulators, no *_ps adds), FMA
+                      appears only as the _pd intrinsics of the SIMD
+                      tables (none in the scalar reference or PLAM), and
+                      the root build pins -ffp-contract=off
   test-registration   every tests/test_*.cpp is registered in
                       tests/CMakeLists.txt (an unregistered test is a
                       test that silently never runs)
@@ -360,8 +362,16 @@ FLOAT_ACC_DECL = re.compile(
     r"\b(?:float|__m128|__m256|__m512)\s+\w*(?:acc|sum)\w*"
     r"|std::vector<\s*float\s*>\s+\w*(?:acc|sum)\w*"
     r"|std::array<\s*float\b[^>]*>\s+\w*(?:acc|sum)\w*")
-SINGLE_PREC_ACCUM_OPS = re.compile(
-    r"\b_mm(?:256|512)?_(?:add|fmadd|fmsub)_ps\b")
+SINGLE_PREC_ACCUM_OPS = re.compile(r"\b_mm(?:256|512)?_add_ps\b")
+# Every fused multiply-add spelling: the x86 intrinsics (any sign/order
+# variant, masked or not; group 1 is the type suffix) and the libm calls.
+FMA_OPS = re.compile(
+    r"\b_mm(?:256|512)?_(?:mask3?_|maskz_)?f(?:n)?m(?:add|sub|addsub|subadd)"
+    r"_(\w+)\b"
+    r"|\b(?:std::|__builtin_)?fmaf?(?=\s*\()")
+# The references every table is defined against: a fused step there would
+# move the definition itself (and mitchell_mul's product is not exact).
+UNFUSED_TUS = ("kernels_scalar.cpp", "kernels_plam.cpp")
 
 
 def rule_float_accum(root: pathlib.Path) -> list[Violation]:
@@ -380,6 +390,20 @@ def rule_float_accum(root: pathlib.Path) -> list[Violation]:
                 "float-accum", path, line_of(text, m.start()),
                 f"single-precision accumulate `{m.group(0)}` — use the _pd "
                 "form; float rounding per step breaks bit-identity"))
+        for m in FMA_OPS.finditer(text):
+            suffix = m.group(1) or ""
+            if path.name in UNFUSED_TUS:
+                msg = ("the scalar reference and PLAM multiply, then add — "
+                       "no FMA of any form")
+            elif suffix != "pd" and not suffix.endswith("_pd"):
+                msg = ("only the packed-double form is exact here (both "
+                       "factors widened floats); any other FMA rounds "
+                       "differently from the reference")
+            else:
+                continue
+            out.append(Violation(
+                "float-accum", path, line_of(text, m.start()),
+                f"fused multiply-add `{m.group(0)}` — {msg}"))
     cml = root / "CMakeLists.txt"
     if not cml.is_file() or "-ffp-contract=off" not in cml.read_text():
         out.append(Violation(
@@ -442,6 +466,8 @@ BAD_FIXTURES = {
     "bad_nondeterminism": "nondeterminism",
     "bad_fault_point": "fault-points",
     "bad_float_accum": "float-accum",
+    "bad_fma_reference": "float-accum",
+    "bad_fma_narrow": "float-accum",
     "bad_unregistered_test": "test-registration",
 }
 

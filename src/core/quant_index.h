@@ -9,8 +9,10 @@
 // lower to the upper table value, stored as an order-preserving uint32
 // key.  Batched lookups are then a bucket jump plus a short integer
 // search, remain bit-exact with the scalar rule by construction, and are
-// served by the dispatched kernel layer (src/kernels: scalar reference or
-// AVX2 branchless search, selected at runtime via cpuid / LP_KERNEL).
+// served by the dispatched kernel layer (src/kernels: the scalar
+// reference, or an AVX2/AVX-512 search that runs 8/16 lanes' bucket
+// searches at once with key gathers; selected at runtime via cpuid /
+// LP_KERNEL).
 #pragma once
 
 #include <cstdint>

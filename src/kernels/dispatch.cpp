@@ -10,7 +10,7 @@
 namespace lp::kernels {
 
 #if defined(LOGPOSIT_HAVE_AVX2)
-// Defined in kernels_avx2.cpp (compiled with -mavx2).
+// Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma).
 const KernelTable* avx2_kernels_impl();
 #endif
 #if defined(LOGPOSIT_HAVE_AVX512)
@@ -36,7 +36,10 @@ const KernelTable* avx512_kernels() {
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  // The avx2 TU is compiled with -mavx2 -mfma: its GEMM accumulates with
+  // _mm256_fmadd_pd, so both extensions must be present.
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif

@@ -6,10 +6,14 @@
 // reference for all inputs — including denormals, ±inf, NaN, and zero
 // entries in A (the GEMM kernels skip zero contributions exactly like the
 // scalar path, so an inf in B multiplied by a structural zero never leaks
-// into the accumulator).  The GEMM kernels accumulate each output element
-// in double, contributions added in ascending-k order with separate
-// mul-then-add rounding (never FMA), which is also why the build pins
-// -ffp-contract=off.  tests/test_kernels.cpp pins the equality on
+// into the accumulator).  A NaN output is NaN on every table; which input
+// NaN's payload it carries is not pinned (the compiler orders the
+// reference's own operands).  The GEMM kernels accumulate each output
+// element in double, contributions added in ascending-k order: the
+// reference multiplies, then adds; the SIMD tables use an explicit _pd
+// FMA, which rounds the same because a product of two widened floats is
+// exact in double.  The build pins -ffp-contract=off so the compiler
+// fuses nothing else.  tests/test_kernels.cpp pins the equality on
 // adversarial inputs for every table available on the host.
 //
 // Parallelism composes from the outside: the thread pool (LP_THREADS)
@@ -291,8 +295,8 @@ struct KernelTable {
 [[nodiscard]] const KernelTable& scalar_kernels();
 
 /// The AVX2 table, or nullptr when the build has no AVX2 translation unit
-/// (non-x86 target or a compiler without -mavx2).  Non-null does NOT imply
-/// the host CPU can run it — check cpu_supports_avx2().
+/// (non-x86 target or a compiler without -mavx2 -mfma).  Non-null does NOT
+/// imply the host CPU can run it — check cpu_supports_avx2().
 [[nodiscard]] const KernelTable* avx2_kernels();
 
 /// The AVX-512 table (16-lane LUT decode, 16-column micro-kernels), or
@@ -300,7 +304,8 @@ struct KernelTable {
 /// NOT imply the host CPU can run it — check cpu_supports_avx512().
 [[nodiscard]] const KernelTable* avx512_kernels();
 
-/// Runtime cpuid check (independent of what was compiled in).
+/// Runtime cpuid check for the avx2 table's ISA set (AVX2 + FMA),
+/// independent of what was compiled in.
 [[nodiscard]] bool cpu_supports_avx2();
 
 /// Runtime cpuid check for the avx512 table's ISA set (F + BW + VL — the

@@ -1,34 +1,34 @@
-// AVX2 kernel table.  This is the only TU compiled with -mavx2; nothing in
-// it executes unless runtime cpuid reports AVX2 (see dispatch.cpp).
+// AVX2 kernel table.  This is the only TU compiled with -mavx2 -mfma;
+// nothing in it executes unless runtime cpuid reports AVX2 and FMA (see
+// dispatch.cpp).
 //
 // Bit-equality with the scalar reference is engineered, not hoped for:
 //  * GEMM accumulates each output element in a dedicated double lane,
-//    contributions added in ascending-k order with _mm256_mul_pd followed
-//    by _mm256_add_pd — the same two correctly-rounded IEEE operations the
-//    scalar code performs (FMA would single-round and is never used).
+//    contributions added in ascending-k order with one _mm256_fmadd_pd
+//    per step.  Both factors are floats widened to double, so the product
+//    is exact and the single rounding of the FMA equals the scalar code's
+//    mul-then-add on every non-NaN result.
 //  * The scalar path's zero-skip (a == 0 contributes nothing, so an inf or
 //    NaN in B under a structural zero never reaches the accumulator) is a
 //    per-(row, k) predicate, identical across the vector lanes of one row,
 //    so it stays an ordinary branch.
 //  * Quantization runs two passes per block: a SIMD pass computing nearest
-//    indices (branchless boundary-key count), then the shared scalar
-//    quantize_apply pass whose element-order error accumulation is the
-//    reference code itself.
+//    indices (a per-lane gather search of the key's bucket), then the
+//    shared scalar quantize_apply pass whose element-order error
+//    accumulation is the reference code itself.
 //  * Edge tiles (rows % 4, columns % 8) fall through to the reference
 //    block helpers, which are per-element identical by definition.
 //    The conv tile kernel instead runs a partial last panel at full
 //    width (dead lanes repeat a live column, so lanes never mix) and
 //    stores only the live lanes.
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <vector>
 
-#include "core/quant_rule.h"
 #include "kernels/kernels_internal.h"
 
 namespace lp::kernels {
@@ -72,8 +72,8 @@ void gemm_micro(const float* a, const float* panel,
       const double av = a[(i + r) * k + p];
       if (av == 0.0) continue;
       const __m256d avv = _mm256_set1_pd(av);
-      acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(avv, bv0));
-      acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(avv, bv1));
+      acc[r][0] = _mm256_fmadd_pd(avv, bv0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_pd(avv, bv1, acc[r][1]);
     }
   }
   for (int r = 0; r < R; ++r) {
@@ -220,8 +220,8 @@ void nt_panel_avx2(const float* a, const float* const* br, int w,
       const __m128 f0 = _mm_setr_ps(b[0][p], b[1][p], b[2][p], b[3][p]);
       const __m128 f1 = _mm_setr_ps(b[4][p], b[5][p], b[6][p], b[7][p]);
       const __m256d avv = _mm256_set1_pd(av);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(avv, _mm256_cvtps_pd(f0)));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(avv, _mm256_cvtps_pd(f1)));
+      acc0 = _mm256_fmadd_pd(avv, _mm256_cvtps_pd(f0), acc0);
+      acc1 = _mm256_fmadd_pd(avv, _mm256_cvtps_pd(f1), acc1);
     }
     float* crow = c + i * n + j;
     _mm_storeu_ps(crow, _mm256_cvtpd_ps(acc0));
@@ -337,66 +337,66 @@ bool conv_codes_tile_avx2(const PackedCodesView& a, const ConvPatchView& x,
 }
 
 // ---------------------------------------------------------------------------
-// Quantization: SIMD ordered-key computation + branchless boundary count.
+// Quantization: SIMD ordered keys, then a gather search inside each lane's
+// bucket.
 
-/// Branchless boundary search: count keys <= key inside the bucket (SIMD
-/// 8-at-a-time, signed compare after bias), no early exit.  Returns the
-/// same index as the reference scan for every key by construction (both
-/// compute bucket_lo[b] + |{t : keys[t] <= key}|).
-std::size_t lookup_count(const QuantIndexView& v, std::uint32_t key) {
-  const std::uint32_t b = key >> (32 - v.bucket_bits);
-  const std::uint32_t lo = v.bucket_lo[b];
-  const std::uint32_t hi = v.bucket_lo[b + 1];
-  std::uint32_t t = lo;
-  std::size_t count = 0;
-  const __m256i biasv = _mm256_set1_epi32(static_cast<int>(0x80000000U));
-  const __m256i kv =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(key)), biasv);
-  for (; t + 8 <= hi; t += 8) {
-    const __m256i ks = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v.keys + t)),
-        biasv);
-    const __m256i gt = _mm256_cmpgt_epi32(ks, kv);
-    const auto mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(gt)));
-    count += 8U - static_cast<unsigned>(std::popcount(mask));
+/// Nearest indices of 8 inputs (lanes outside `live`, a per-lane all-ones
+/// mask, are neither read nor written): the AVX-512 search at 8 lanes.
+/// Each lane runs a branchless upper_bound over its bucket [lo, hi), one
+/// masked key gather per halving, and ends at lo + |{t : keys[t] <=
+/// key}| — the index the reference scan returns.
+void nearest8(const QuantIndexView& v, const float* xs, std::uint32_t* out,
+              __m256i live) {
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000U));
+  const __m256i expm = _mm256_set1_epi32(0x7F800000);
+  const auto* lo_tab = reinterpret_cast<const int*>(v.bucket_lo);
+  const auto* key_tab = reinterpret_cast<const int*>(v.keys);
+  const __m256i bits =
+      _mm256_maskload_epi32(reinterpret_cast<const int*>(xs), live);
+  // ordered_key, vectorized: negatives (sign-propagating shift gives an
+  // all-ones mask) flip entirely, positives set the sign bit.
+  const __m256i neg = _mm256_srai_epi32(bits, 31);
+  const __m256i key = _mm256_or_si256(_mm256_xor_si256(bits, neg),
+                                      _mm256_andnot_si256(neg, sign));
+  const __m256i finite = _mm256_andnot_si256(
+      _mm256_cmpeq_epi32(_mm256_and_si256(bits, expm), expm), live);
+  const __m256i b =
+      _mm256_srlv_epi32(key, _mm256_set1_epi32(32 - v.bucket_bits));
+  __m256i base = _mm256_i32gather_epi32(lo_tab, b, 4);
+  const __m256i hi =
+      _mm256_i32gather_epi32(lo_tab, _mm256_add_epi32(b, one), 4);
+  __m256i len = _mm256_and_si256(_mm256_sub_epi32(hi, base), finite);
+  // Keys compare unsigned: as signed after flipping the sign bit.
+  const __m256i key_s = _mm256_xor_si256(key, sign);
+  for (__m256i m = _mm256_cmpgt_epi32(len, _mm256_setzero_si256());
+       !_mm256_testz_si256(m, m);
+       m = _mm256_cmpgt_epi32(len, _mm256_setzero_si256())) {
+    const __m256i half = _mm256_srli_epi32(len, 1);
+    const __m256i probe = _mm256_add_epi32(base, half);
+    const __m256i kp = _mm256_mask_i32gather_epi32(key, key_tab, probe, m, 4);
+    const __m256i le = _mm256_andnot_si256(
+        _mm256_cmpgt_epi32(_mm256_xor_si256(kp, sign), key_s), m);
+    base = _mm256_blendv_epi8(base, _mm256_add_epi32(probe, one), le);
+    len = _mm256_blendv_epi8(
+        half, _mm256_sub_epi32(_mm256_sub_epi32(len, half), one), le);
   }
-  for (; t < hi; ++t) count += (v.keys[t] <= key) ? 1U : 0U;
-  return lo + count;
+  const __m256i idx = _mm256_blendv_epi8(
+      _mm256_set1_epi32(static_cast<int>(kInvalidIndex)), base, finite);
+  _mm256_maskstore_epi32(reinterpret_cast<int*>(out), live, idx);
 }
 
 void nearest_indices_avx2(const QuantIndexView& v, const float* xs,
                           std::uint32_t* out, std::size_t n) {
-  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000U));
-  const __m256i expm = _mm256_set1_epi32(0x7F800000);
+  const __m256i all = _mm256_set1_epi32(-1);
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i bits =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i));
-    // ordered_key, vectorized: negatives (sign-propagating shift gives an
-    // all-ones mask) flip entirely, positives set the sign bit.
-    const __m256i neg = _mm256_srai_epi32(bits, 31);
-    const __m256i key = _mm256_or_si256(_mm256_xor_si256(bits, neg),
-                                        _mm256_andnot_si256(neg, sign));
-    const __m256i bad =
-        _mm256_cmpeq_epi32(_mm256_and_si256(bits, expm), expm);
-    alignas(32) std::uint32_t keys[8];
-    alignas(32) std::uint32_t bads[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(keys), key);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(bads), bad);
-    for (int l = 0; l < 8; ++l) {
-      out[i + static_cast<std::size_t>(l)] =
-          bads[l] != 0
-              ? kInvalidIndex
-              : static_cast<std::uint32_t>(lookup_count(v, keys[l]));
-    }
-  }
-  for (; i < n; ++i) {
-    const auto bits = std::bit_cast<std::uint32_t>(xs[i]);
-    out[i] = quant::is_finite_bits(bits)
-                 ? static_cast<std::uint32_t>(
-                       lookup_count(v, quant::ordered_key(bits)))
-                 : kInvalidIndex;
+  for (; i + 8 <= n; i += 8) nearest8(v, xs + i, out + i, all);
+  if (i < n) {
+    // Lane l is live iff l < n - i.
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    nearest8(v, xs + i, out + i,
+             _mm256_cmpgt_epi32(
+                 _mm256_set1_epi32(static_cast<int>(n - i)), lane));
   }
 }
 
@@ -431,4 +431,4 @@ const KernelTable* avx2_kernels_impl() {
 
 }  // namespace lp::kernels
 
-#endif  // defined(__AVX2__)
+#endif  // defined(__AVX2__) && defined(__FMA__)

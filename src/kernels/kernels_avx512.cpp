@@ -6,9 +6,12 @@
 // float lanes:
 //  * GEMM accumulates each output element in a dedicated double lane
 //    (two zmm registers per 16 columns), contributions added in
-//    ascending-k order with _mm512_mul_pd followed by _mm512_add_pd —
-//    the same two correctly-rounded IEEE operations the scalar code
-//    performs (FMA would single-round and is never used).
+//    ascending-k order with one _mm512_fmadd_pd per step.  Both factors
+//    are floats widened to double, so their product (at most 48
+//    significant bits, exponent well inside double range) is exact: the
+//    fused multiply-add rounds once where the scalar mul-then-add rounds
+//    twice, but its first rounding is exact, so every non-NaN result is
+//    the same (which input NaN's payload survives is not pinned).
 //  * The zero-skip of A entries stays an ordinary branch: it is a
 //    per-(row, k) predicate identical across the 16 lanes of one row, so
 //    an inf or NaN in B under a structural zero never reaches any lane.
@@ -16,10 +19,11 @@
 //    zmm register; _mm512_permutexvar_ps is a full 16-entry in-register
 //    lookup, so no blend tree is needed.  8/16-bit codes widen to dword
 //    indices and gather from the table.
-//  * Quantization lookup counts boundary keys with a native unsigned
-//    compare (_mm512_cmp_epu32_mask) — no sign-bias xor — and popcounts
-//    the 16-bit lane mask; the result equals the reference scan's index
-//    by construction.
+//  * Quantization searches 16 lanes at once: each lane gathers its
+//    bucket's bounds and halves the bucket with masked key gathers and a
+//    native unsigned compare (_mm512_cmp_epu32_mask, no sign-bias xor),
+//    ending at the count of boundary keys <= its key — the reference
+//    scan's index by construction.
 //  * Edge tiles (rows % 4, columns % 16) fall through to the reference
 //    block helpers, which are per-element identical by definition.
 //    The conv tile kernel instead runs a partial last panel at full
@@ -30,11 +34,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <vector>
 
-#include "core/quant_rule.h"
 #include "kernels/kernels_internal.h"
 
 namespace lp::kernels {
@@ -73,8 +75,8 @@ void gemm_micro(const float* a, const float* panel, std::int64_t panel_stride,
       const double av = a[(i + r) * k + p];
       if (av == 0.0) continue;
       const __m512d avv = _mm512_set1_pd(av);
-      acc[r][0] = _mm512_add_pd(acc[r][0], _mm512_mul_pd(avv, bv0));
-      acc[r][1] = _mm512_add_pd(acc[r][1], _mm512_mul_pd(avv, bv1));
+      acc[r][0] = _mm512_fmadd_pd(avv, bv0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_pd(avv, bv1, acc[r][1]);
     }
   }
   for (int r = 0; r < R; ++r) {
@@ -208,8 +210,8 @@ void nt_panel_avx512(const float* a, const float* const* br, int w,
           _mm256_setr_ps(b[8][p], b[9][p], b[10][p], b[11][p], b[12][p],
                          b[13][p], b[14][p], b[15][p]);
       const __m512d avv = _mm512_set1_pd(av);
-      acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(avv, _mm512_cvtps_pd(f0)));
-      acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(avv, _mm512_cvtps_pd(f1)));
+      acc0 = _mm512_fmadd_pd(avv, _mm512_cvtps_pd(f0), acc0);
+      acc1 = _mm512_fmadd_pd(avv, _mm512_cvtps_pd(f1), acc1);
     }
     float* crow = c + i * n + j;
     _mm256_storeu_ps(crow, _mm512_cvtpd_ps(acc0));
@@ -347,58 +349,61 @@ bool conv_codes_tile_avx512(const PackedCodesView& a,
 }
 
 // ---------------------------------------------------------------------------
-// Quantization: SIMD ordered-key computation + branchless boundary count.
+// Quantization: SIMD ordered keys, then a gather search inside each lane's
+// bucket.
 
-/// Count keys <= key inside the bucket, 16 at a time.  AVX-512 compares
-/// unsigned dwords natively (no sign-bias xor) and returns a lane mask,
-/// so the count is a single popcount per step.  Returns the same index
-/// as the reference scan for every key by construction.
-std::size_t lookup_count(const QuantIndexView& v, std::uint32_t key) {
-  const std::uint32_t b = key >> (32 - v.bucket_bits);
-  const std::uint32_t lo = v.bucket_lo[b];
-  const std::uint32_t hi = v.bucket_lo[b + 1];
-  std::uint32_t t = lo;
-  std::size_t count = 0;
-  const __m512i kv = _mm512_set1_epi32(static_cast<int>(key));
-  for (; t + 16 <= hi; t += 16) {
-    const __m512i ks = _mm512_loadu_si512(v.keys + t);
-    const __mmask16 le = _mm512_cmp_epu32_mask(ks, kv, _MM_CMPINT_LE);
-    count += static_cast<std::size_t>(
-        std::popcount(static_cast<unsigned>(le)));
+/// Nearest indices of 16 inputs (lanes outside `live` are neither read
+/// nor written).  Each lane gathers its bucket's bounds [lo, hi) and runs
+/// a branchless upper_bound there, one masked key gather per halving:
+/// keys[base + half] <= key moves base past the probe, otherwise the
+/// range shrinks to its lower half.  A lane leaves once its range is
+/// empty, at base = lo + |{t : keys[t] <= key}| since the keys ascend —
+/// the index the reference scan returns.  The loop runs ceil(log2(span +
+/// 1)) steps for the longest bucket among the 16 lanes: one step for the
+/// paper's 4/8-bit tables, a handful for dense 12/16-bit ones.
+void nearest16(const QuantIndexView& v, const float* xs, std::uint32_t* out,
+               __mmask16 live) {
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i bits = _mm512_maskz_loadu_epi32(live, xs);
+  // ordered_key, vectorized: negatives (sign-propagating shift gives an
+  // all-ones mask) flip entirely, positives set the sign bit.
+  const __m512i neg = _mm512_srai_epi32(bits, 31);
+  const __m512i key = _mm512_or_epi32(
+      _mm512_xor_epi32(bits, neg),
+      _mm512_andnot_epi32(neg,
+                          _mm512_set1_epi32(static_cast<int>(0x80000000U))));
+  const __m512i expm = _mm512_set1_epi32(0x7F800000);
+  const __mmask16 finite = _mm512_mask_cmpneq_epi32_mask(
+      live, _mm512_and_epi32(bits, expm), expm);
+  const __m512i b =
+      _mm512_srlv_epi32(key, _mm512_set1_epi32(32 - v.bucket_bits));
+  __m512i base = _mm512_i32gather_epi32(b, v.bucket_lo, 4);
+  const __m512i hi =
+      _mm512_i32gather_epi32(_mm512_add_epi32(b, one), v.bucket_lo, 4);
+  __m512i len = _mm512_maskz_sub_epi32(finite, hi, base);
+  for (__mmask16 m = _mm512_test_epi32_mask(len, len); m != 0;
+       m = _mm512_test_epi32_mask(len, len)) {
+    const __m512i half = _mm512_srli_epi32(len, 1);
+    const __m512i probe = _mm512_add_epi32(base, half);
+    const __m512i kp = _mm512_mask_i32gather_epi32(key, m, probe, v.keys, 4);
+    const __mmask16 le = _mm512_mask_cmp_epu32_mask(m, kp, key, _MM_CMPINT_LE);
+    base = _mm512_mask_add_epi32(base, le, probe, one);
+    len = _mm512_mask_sub_epi32(half, le, _mm512_sub_epi32(len, half),
+                                one);
   }
-  for (; t < hi; ++t) count += (v.keys[t] <= key) ? 1U : 0U;
-  return lo + count;
+  _mm512_mask_storeu_epi32(
+      out, live,
+      _mm512_mask_blend_epi32(
+          finite, _mm512_set1_epi32(static_cast<int>(kInvalidIndex)), base));
 }
 
 void nearest_indices_avx512(const QuantIndexView& v, const float* xs,
                             std::uint32_t* out, std::size_t n) {
-  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000U));
-  const __m512i expm = _mm512_set1_epi32(0x7F800000);
   std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i bits = _mm512_loadu_si512(xs + i);
-    // ordered_key, vectorized: negatives (sign-propagating shift gives an
-    // all-ones mask) flip entirely, positives set the sign bit.
-    const __m512i neg = _mm512_srai_epi32(bits, 31);
-    const __m512i key = _mm512_or_epi32(_mm512_xor_epi32(bits, neg),
-                                        _mm512_andnot_epi32(neg, sign));
-    const __mmask16 bad =
-        _mm512_cmpeq_epi32_mask(_mm512_and_epi32(bits, expm), expm);
-    alignas(64) std::uint32_t keys[16];
-    _mm512_store_si512(keys, key);
-    for (int l = 0; l < 16; ++l) {
-      out[i + static_cast<std::size_t>(l)] =
-          ((bad >> l) & 1U) != 0
-              ? kInvalidIndex
-              : static_cast<std::uint32_t>(lookup_count(v, keys[l]));
-    }
-  }
-  for (; i < n; ++i) {
-    const auto bits = std::bit_cast<std::uint32_t>(xs[i]);
-    out[i] = quant::is_finite_bits(bits)
-                 ? static_cast<std::uint32_t>(
-                       lookup_count(v, quant::ordered_key(bits)))
-                 : kInvalidIndex;
+  for (; i + 16 <= n; i += 16) nearest16(v, xs + i, out + i, 0xFFFF);
+  if (i < n) {
+    nearest16(v, xs + i, out + i,
+              static_cast<__mmask16>((1U << (n - i)) - 1U));
   }
 }
 

@@ -181,8 +181,9 @@ bool encode_scratch_block(const ActEncode& ep, float* scratch,
 
 /// Reference boundary search: index of the nearest table value for an
 /// ordered key (bucket jump + short scan / upper_bound).  Any search that
-/// counts boundary keys <= key returns the same index; the AVX2 path uses
-/// a branchless SIMD count and is pinned to this by test_kernels.
+/// counts boundary keys <= key returns the same index; the SIMD tables
+/// run a per-lane gather upper_bound and are pinned to this by
+/// test_kernels.
 [[nodiscard]] std::size_t qindex_lookup(const QuantIndexView& v,
                                         std::uint32_t key);
 

@@ -5,6 +5,7 @@
 
 #include "core/packed_codes.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace lp::nn {
 namespace {
@@ -84,6 +85,24 @@ NodeValue finish_act(const RunCtx& ctx, int slot, const ActCoding* coding,
   capture_pooled(ctx, out);
   count_float(ctx, out);
   return NodeValue(std::move(out));
+}
+
+/// An add operand as the kernel layer's view: its codes when it has
+/// them, else its floats.
+kernels::PackedCodesView operand_view(const NodeValue& x) {
+  return x.codes() != nullptr ? x.codes()->view()
+                              : kernels::float_view(x.dense().raw());
+}
+
+/// Elements [e0, e0 + len) of an operand as floats: read in place, or
+/// LUT-decoded into `buf`.
+const float* operand_floats(const kernels::PackedCodesView& v,
+                            std::int64_t e0, std::int64_t len, float* buf) {
+  if (v.lut == nullptr) return v.floats() + e0;
+  for (std::int64_t i = 0; i < len; ++i) {
+    buf[i] = kernels::packed_decode_at(v, e0 + i);
+  }
+  return buf;
 }
 
 }  // namespace
@@ -440,8 +459,33 @@ NodeValue GlobalAvgPoolNode::run(std::span<const NodeValue* const> x,
 
 NodeValue AddNode::run(std::span<const NodeValue* const> x,
                        const RunCtx&) const {
-  Tensor out = add(x[0]->dense(), x[1]->dense());
-  apply_act(out, act_);
+  // One pooled pass: each operand is read in place as floats or
+  // LUT-decoded from its codes a block at a time, and act(a + b) is
+  // written once — the float add and activation of add() + apply_act(),
+  // without the decoded copies.
+  LP_CHECK_MSG(x[0]->shape() == x[1]->shape(), "add shape mismatch");
+  Tensor out(x[0]->shape());
+  const kernels::PackedCodesView in[2] = {operand_view(*x[0]),
+                                          operand_view(*x[1])};
+  const int act = act_kernel(act_);
+  float* const dst = out.raw();
+  const std::int64_t n = out.numel();
+  ThreadPool& pool = default_pool();
+  constexpr std::int64_t kBlock = 1024;
+  parallel_for(
+      pool, 0, n,
+      std::max(balanced_grain(n, pool.thread_count()), 4 * kBlock),
+      [&](std::int64_t e0, std::int64_t e1, std::int64_t) {
+        float buf[2][kBlock];
+        for (std::int64_t s = e0; s < e1; s += kBlock) {
+          const std::int64_t len = std::min(kBlock, e1 - s);
+          const float* a = operand_floats(in[0], s, len, buf[0]);
+          const float* b = operand_floats(in[1], s, len, buf[1]);
+          for (std::int64_t i = 0; i < len; ++i) {
+            dst[s + i] = kernels::act_eval(a[i] + b[i], act);
+          }
+        }
+      });
   return out;
 }
 

@@ -30,6 +30,7 @@
 #include "core/packed_codes.h"
 #include "kernels/kernels_internal.h"
 #include "lpq/lpq.h"
+#include "nn/nodes.h"
 #include "nn/zoo.h"
 #include "runtime/session.h"
 #include "tensor/ops.h"
@@ -1103,6 +1104,67 @@ TEST(CodedActivations, CacheStatsSplitWeightAndActLutBytes) {
   plain.set_formats(w, a);
   EXPECT_EQ(plain.stats().act_lut_bytes, 0U);
   EXPECT_GT(plain.stats().lut_bytes, 0U);
+}
+
+TEST(CodedActivations, AddNodeMatchesDecodeThenAddOnEveryOperandForm) {
+  // AddNode reads each operand in place as floats or LUT-decoded codes and
+  // writes act(a + b) in one pooled pass; that must equal add() +
+  // apply_act() over the decoded tensors bit for bit, for every pairing
+  // of float, 8-bit and 16-bit operands, at any pool width.  The size is
+  // not a multiple of the node's decode block, and the values include
+  // -0.0, inf and NaN.
+  PoolGuard guard;
+  const std::vector<std::int64_t> shape = {3, 5, 7, 101};
+  std::int64_t numel = 1;
+  for (const std::int64_t d : shape) numel *= d;
+  auto lut8 = std::make_shared<DecodeTable>(256);
+  auto lut16 = std::make_shared<DecodeTable>(1024);
+  Rng rng(91);
+  for (auto* lut : {lut8.get(), lut16.get()}) {
+    for (float& v : *lut) v = static_cast<float>(rng.gaussian());
+    (*lut)[0] = -0.0F;
+    (*lut)[1] = std::numeric_limits<float>::infinity();
+    (*lut)[2] = std::numeric_limits<float>::quiet_NaN();
+  }
+  const auto codes_of = [&](int bits, std::uint64_t seed) {
+    Rng r(seed);
+    const std::size_t lut_size = bits == 8 ? lut8->size() : lut16->size();
+    std::vector<std::uint8_t> data(
+        PackedCodes::stream_bytes(numel, bits));
+    for (std::int64_t e = 0; e < numel; ++e) {
+      kernels::packed_code_write(
+          data.data(), bits, e,
+          static_cast<std::uint32_t>(
+              r.uniform(0.0, static_cast<double>(lut_size) - 0.5)));
+    }
+    return PackedCodes::from_codes(std::move(data), shape, bits,
+                                   bits == 8 ? lut8 : lut16);
+  };
+  Tensor dense(shape);
+  for (float& v : dense.data()) v = static_cast<float>(rng.gaussian());
+  dense.raw()[5] = -0.0F;
+  const std::vector<nn::NodeValue> operands = {
+      nn::NodeValue(dense), nn::NodeValue(codes_of(8, 3)),
+      nn::NodeValue(codes_of(16, 4))};
+  for (const nn::Act act : {nn::Act::kNone, nn::Act::kRelu}) {
+    const nn::AddNode node(0, 1, "add", act);
+    for (const nn::NodeValue& a : operands) {
+      for (const nn::NodeValue& b : operands) {
+        Tensor want = add(a.dense(), b.dense());
+        nn::apply_act(want, act);
+        for (const int threads : {1, 4}) {
+          set_default_pool_threads(threads);
+          const nn::NodeValue* in[2] = {&a, &b};
+          const Tensor got = node.run(in, nn::RunCtx{}).dense();
+          ASSERT_TRUE(bits_equal(got, want))
+              << "threads=" << threads << " a_bits="
+              << (a.codes() != nullptr ? a.codes()->code_bits() : 32)
+              << " b_bits="
+              << (b.codes() != nullptr ? b.codes()->code_bits() : 32);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "core/lp_format.h"
 #include "core/packed_codes.h"
 #include "core/quant_index.h"
+#include "core/quant_rule.h"
 #include "kernels/kernels.h"
 #include "lpa/systolic.h"
 #include "tensor/ops.h"
@@ -368,6 +369,156 @@ TEST_F(GemmBitEquality, AllTablesAllShapes) {
   }
 }
 
+/// Quiet float NaN carrying `payload` in its low mantissa bits.
+float nan_payload(std::uint32_t payload) {
+  return std::bit_cast<float>(0x7FC00000U | payload);
+}
+
+/// The [k, n] row-major float matrix `b` as the input of a 1x1 conv over
+/// [1, k, 1, n], so the conv tile computes decode(A) * B.
+kernels::ConvPatchView matrix_as_conv_input(const float* b, std::int64_t k,
+                                            std::int64_t n) {
+  kernels::ConvPatchView x;
+  x.data = reinterpret_cast<const std::uint8_t*>(b);
+  x.bits = 32;
+  x.batch = 1;
+  x.c_total = k;
+  x.h = 1;
+  x.w = n;
+  x.c_count = k;
+  x.ho = 1;
+  x.wo = n;
+  return x;
+}
+
+/// Element-wise: equal bits, or both NaN (payload not compared).
+bool same_values(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t e = 0; e < a.size(); ++e) {
+    const bool both_nan = std::isnan(a[e]) && std::isnan(b[e]);
+    if (!both_nan && std::bit_cast<std::uint32_t>(a[e]) !=
+                         std::bit_cast<std::uint32_t>(b[e])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(GemmBitEquality, SpecialOperandsMatchMulThenAdd) {
+  // The SIMD tables accumulate with one FMA per step; the scalar table
+  // multiplies, then adds.  Products of two widened floats are exact in
+  // double, so the two agree — these operands are where they would
+  // part if the product were rounded or a NaN were made or lost
+  // differently: NaNs with distinct payloads meeting at one k, an
+  // accumulator already NaN meeting a NaN product, inf x finite and
+  // inf x 0, huge x huge, denormal x denormal, signed-zero products, and
+  // -0.0f bias seeds.  Every non-NaN output must match bit for bit and
+  // every NaN output must be NaN on both sides; which input NaN's
+  // payload survives is left open (IEEE 754 does not fix it, and the
+  // compiler orders the operands of the reference's own multiply and
+  // add differently across its unrolled lanes).
+  // B rows 0..4 hold the special values; each A row picks some of them.
+  constexpr std::int64_t m = 10;
+  constexpr std::int64_t k = 12;
+  constexpr std::int64_t n = 37;  // full 16/8-lane panels plus a tail
+  std::vector<float> a(static_cast<std::size_t>(m * k), 0.0F);
+  std::vector<float> b(static_cast<std::size_t>(k * n));
+  Rng rng(97);
+  for (auto& v : b) v = static_cast<float>(rng.gaussian());
+  for (std::int64_t j = 0; j < n; ++j) {
+    const auto at = [&](std::int64_t p) -> float& {
+      return b[static_cast<std::size_t>(p * n + j)];
+    };
+    at(0) = j % 2 == 0 ? nan_payload(0x101) : 2.0F;
+    at(1) = j % 3 == 0 ? nan_payload(0x102) : j % 3 == 1 ? kInf : -kInf;
+    at(2) = j % 2 == 0 ? kHuge : -kHuge;
+    at(3) = j % 2 == 0 ? kDenorm : -kDenorm;
+    at(4) = j % 2 == 0 ? 0.0F : -0.0F;
+  }
+  const auto set_a = [&](std::int64_t i, std::int64_t p, float v) {
+    a[static_cast<std::size_t>(i * k + p)] = v;
+  };
+  const auto fill_tail = [&](std::int64_t i) {
+    for (std::int64_t p = 5; p < k; ++p) {
+      set_a(i, p, static_cast<float>(rng.gaussian()));
+    }
+  };
+  set_a(0, 0, nan_payload(0x201));  // NaN x NaN at one k, NaN x 2
+  set_a(1, 0, 1.5F);                // acc NaN at k 0 ...
+  set_a(1, 1, nan_payload(0x202));  // ... meets NaN x NaN / NaN x inf
+  set_a(2, 1, 3.0F);                // x NaN, x inf, x -inf
+  set_a(2, 2, kHuge);
+  set_a(2, 3, kDenorm);
+  set_a(3, 2, kHuge);               // huge x huge
+  fill_tail(3);
+  set_a(4, 3, kDenorm);             // denormal x denormal, then +-0
+  set_a(4, 4, -1.0F);
+  set_a(5, 4, -2.0F);               // only signed-zero products
+  set_a(6, 1, nan_payload(0x203));
+  fill_tail(6);
+  set_a(7, 0, nan_payload(0x204));  // NaN acc meets a second NaN product
+  set_a(7, 1, nan_payload(0x205));
+  set_a(8, 4, kInf);                // inf x 0 -> invalid
+  fill_tail(8);
+  set_a(9, 2, -kHuge);
+  set_a(9, 3, kDenorm);
+  fill_tail(9);
+
+  std::vector<float> bt(b.size());  // B^T, [n, k] row-major
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      bt[static_cast<std::size_t>(j * k + p)] =
+          b[static_cast<std::size_t>(p * n + j)];
+    }
+  }
+  const std::vector<std::uint8_t> a_codes = identity_codes(a.size());
+  const std::vector<std::uint8_t> bt_codes = identity_codes(bt.size());
+  const std::vector<float> col_bias(static_cast<std::size_t>(n), -0.0F);
+  const std::vector<float> row_bias(static_cast<std::size_t>(m), -0.0F);
+  const std::size_t cn = static_cast<std::size_t>(m * n);
+  std::vector<float> c_ref(cn), c_tab(cn);
+  const kernels::KernelTable& ref = kernels::scalar_kernels();
+  for (const auto* t : tables_) {
+    for (const bool with_bias : {false, true}) {
+      const float* cb = with_bias ? col_bias.data() : nullptr;
+      const std::string tag =
+          std::string(t->name) + (with_bias ? " -0 bias" : "");
+      ref.gemm_rows(a.data(), b.data(), cb, c_ref.data(), 0, m, k, n);
+      t->gemm_rows(a.data(), b.data(), cb, c_tab.data(), 0, m, k, n);
+      EXPECT_TRUE(same_values(c_ref, c_tab))
+          << tag << " gemm_rows";
+
+      ASSERT_TRUE(ref.gemm_nt_rows(kernels::float_view(a.data()),
+                                   kernels::float_view(bt.data()), cb,
+                                   c_ref.data(), nullptr, 0, m, k, n));
+      for (const kernels::PackedCodesView& av :
+           {kernels::float_view(a.data()), coded16(a_codes, a)}) {
+        for (const kernels::PackedCodesView& bv :
+             {kernels::float_view(bt.data()), coded16(bt_codes, bt)}) {
+          ASSERT_TRUE(t->gemm_nt_rows(av, bv, cb, c_tab.data(), nullptr, 0,
+                                      m, k, n));
+          EXPECT_TRUE(same_values(c_ref, c_tab))
+              << tag << " gemm_nt_rows" << (av.lut != nullptr ? " codedA" : "")
+              << (bv.lut != nullptr ? " codedB" : "");
+        }
+      }
+
+      kernels::ConvTileSink sink;
+      sink.bias = with_bias ? row_bias.data() : nullptr;
+      sink.cout = m;
+      sink.out = c_ref.data();
+      const kernels::ConvPatchView x = matrix_as_conv_input(b.data(), k, n);
+      ASSERT_TRUE(ref.conv_codes_tile(coded16(a_codes, a), x, sink, 0, m, 0,
+                                      n));
+      sink.out = c_tab.data();
+      ASSERT_TRUE(t->conv_codes_tile(coded16(a_codes, a), x, sink, 0, m, 0,
+                                     n));
+      EXPECT_TRUE(same_values(c_ref, c_tab))
+          << tag << " conv_codes_tile";
+    }
+  }
+}
+
 TEST_F(GemmBitEquality, SplitRowRangesMatchFullRange) {
   // Kernels are handed arbitrary row blocks by the thread pool; uneven
   // splits must still produce the full-range result bit-for-bit.
@@ -461,26 +612,51 @@ class QuantizeBitEquality : public KernelTablesTest {
           if (!std::isfinite(x)) x = 0.125F;
         }
       }
-      std::vector<float> ref = base;
-      const double se_ref =
-          kernels::scalar_kernels().quantize_chunk(view, ref.data(), n);
-      std::vector<std::uint32_t> idx_ref(n);
-      kernels::scalar_kernels().nearest_indices(view, base.data(),
-                                                idx_ref.data(), n);
-      for (const auto* t : tables_) {
-        std::vector<float> got = base;
-        const double se = t->quantize_chunk(view, got.data(), n);
-        EXPECT_TRUE(bitwise_equal(ref.data(), got.data(),
-                                  static_cast<std::int64_t>(n)))
-            << t->name << " n=" << n << " table=" << vals.size();
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(se_ref),
-                  std::bit_cast<std::uint64_t>(se))
-            << t->name << " n=" << n << " table=" << vals.size();
-        std::vector<std::uint32_t> idx(n);
-        t->nearest_indices(view, base.data(), idx.data(), n);
-        EXPECT_EQ(idx_ref, idx) << t->name << " n=" << n;
+      expect_tables_match(view, base, vals.size());
+    }
+  }
+
+  /// Every table's quantize_chunk (values and error bits) and
+  /// nearest_indices over `base` equal the scalar reference's.
+  void expect_tables_match(const kernels::QuantIndexView& view,
+                           const std::vector<float>& base,
+                           std::size_t table_size) {
+    const std::size_t n = base.size();
+    std::vector<float> ref = base;
+    const double se_ref =
+        kernels::scalar_kernels().quantize_chunk(view, ref.data(), n);
+    std::vector<std::uint32_t> idx_ref(n);
+    kernels::scalar_kernels().nearest_indices(view, base.data(),
+                                              idx_ref.data(), n);
+    for (const auto* t : tables_) {
+      std::vector<float> got = base;
+      const double se = t->quantize_chunk(view, got.data(), n);
+      EXPECT_TRUE(bitwise_equal(ref.data(), got.data(),
+                                static_cast<std::int64_t>(n)))
+          << t->name << " n=" << n << " table=" << table_size;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(se_ref),
+                std::bit_cast<std::uint64_t>(se))
+          << t->name << " n=" << n << " table=" << table_size;
+      std::vector<std::uint32_t> idx(n);
+      t->nearest_indices(view, base.data(), idx.data(), n);
+      EXPECT_EQ(idx_ref, idx) << t->name << " n=" << n;
+    }
+  }
+
+  /// The floats on both sides of, and at, every decision boundary of the
+  /// table (keys - 1, keys, keys + 1), trimmed to a length that is not a
+  /// multiple of 8, so each vector tier also runs its masked tail.
+  void check_boundaries(const std::vector<double>& vals) {
+    const QuantIndex qi(vals);
+    const kernels::QuantIndexView view = qi.view();
+    std::vector<float> xs;
+    for (std::size_t t = 0; t < view.num_keys; ++t) {
+      for (const std::uint32_t d : {0xFFFFFFFFU, 0U, 1U}) {
+        xs.push_back(quant::float_from_key(view.keys[t] + d));
       }
     }
+    if (xs.size() % 8 == 0) xs.pop_back();
+    expect_tables_match(view, xs, vals.size());
   }
 };
 
@@ -500,6 +676,27 @@ TEST_F(QuantizeBitEquality, WideFormatDenseBuckets) {
   // this exercises the upper_bound branch and the SIMD 8-wide count loop.
   const CodeTable table(LPConfig{12, 2, 5, 0.5});
   check_format(table.values(), true);
+}
+
+TEST_F(QuantizeBitEquality, BoundaryNeighboursEveryKey) {
+  // The SIMD searches halve each lane's bucket with one key gather per
+  // step; an off-by-one at a probe or at the bucket's ends shows here as
+  // a boundary neighbour on the wrong side.  4-, 8- and 12-bit tables:
+  // one-step buckets, then dense ones.
+  check_boundaries(LPFormat(LPConfig{4, 1, 2, 2.0}).all_values());
+  check_boundaries(LPFormat(LPConfig{8, 1, 4, 3.0}).all_values());
+  check_boundaries(CodeTable(LPConfig{12, 2, 5, 0.5}).values());
+}
+
+TEST_F(QuantizeBitEquality, SaturatedBucket) {
+  // 40 values inside [1, 1.125) share one bucket (the top 12 key bits),
+  // so lanes there search 39 keys over six steps while lanes near -1 and
+  // 4 leave after one — in the same vectors.
+  std::vector<double> vals = {-1.0};
+  for (int i = 0; i < 40; ++i) vals.push_back(1.0 + i / 512.0);
+  vals.push_back(4.0);
+  check_boundaries(vals);
+  check_format(vals, true);
 }
 
 TEST_F(QuantizeBitEquality, NonFiniteOnlyBuffer) {

@@ -353,15 +353,19 @@ LPConfig bench_cfg(int n) {
                   : LPConfig{12, 2, 5, 0.5};
 }
 
-/// Mid-stack ResNet conv-as-GEMM shape with the *weight* matrix as the
-/// coded A operand, run through the conv tile as a 1x1 conv over a float
-/// [1, k, 1, n] input — the kernel conv2d_codes executes.  `coded` Arg 0
-/// runs the float kernel on the decoded weights: the apples-to-apples
-/// baseline, since quantized weights carry structural zeros whose skip
-/// branch costs both paths identically.
+/// Conv-as-GEMM shapes with the *weight* matrix as the coded A operand,
+/// run through the conv tile as a 1x1 conv over a float [1, k, 1, n]
+/// input — the kernel conv2d_codes executes.  Arg `m` picks the layer:
+/// 128 is a mid-stack shape (k = 1152, n = 196), 16 a ResNet18 stage-1
+/// conv at batch 1 (k = 144, n = 1024: short dot products, many columns).
+/// `coded` Arg 0 runs the float kernel on the decoded weights: the
+/// apples-to-apples baseline, since quantized weights carry structural
+/// zeros whose skip costs both paths identically.
 void run_gemm_codes_bench(benchmark::State& state,
                           const kernels::KernelTable& kt) {
-  constexpr std::int64_t m = 128, k = 1152, n = 196;
+  const std::int64_t m = state.range(2);
+  const std::int64_t k = m == 16 ? 144 : 1152;
+  const std::int64_t n = m == 16 ? 1024 : 196;
   const bool coded = state.range(1) != 0;
   const LPFormat fmt(bench_cfg(static_cast<int>(state.range(0))));
   const auto lut = build_decode_table(fmt);
@@ -410,8 +414,9 @@ void BM_GemmCodesScalar(benchmark::State& state) {
   run_gemm_codes_bench(state, kernels::scalar_kernels());
 }
 BENCHMARK(BM_GemmCodesScalar)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
+    ->Args({8, 0, 128})->Args({4, 1, 128})->Args({8, 1, 128})
+    ->Args({12, 1, 128})->Args({8, 0, 16})->Args({8, 1, 16})
+    ->ArgNames({"n", "coded", "m"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GemmCodesAvx2(benchmark::State& state) {
@@ -423,8 +428,10 @@ void BM_GemmCodesAvx2(benchmark::State& state) {
   run_gemm_codes_bench(state, *kt);
 }
 BENCHMARK(BM_GemmCodesAvx2)
-    ->Args({8, 0})->Args({4, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
+    ->Args({8, 0, 128})->Args({4, 0, 128})->Args({4, 1, 128})
+    ->Args({8, 1, 128})->Args({12, 1, 128})->Args({8, 0, 16})
+    ->Args({8, 1, 16})
+    ->ArgNames({"n", "coded", "m"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GemmCodesAvx512(benchmark::State& state) {
@@ -436,8 +443,10 @@ void BM_GemmCodesAvx512(benchmark::State& state) {
   run_gemm_codes_bench(state, *kt);
 }
 BENCHMARK(BM_GemmCodesAvx512)
-    ->Args({8, 0})->Args({4, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
+    ->Args({8, 0, 128})->Args({4, 0, 128})->Args({4, 1, 128})
+    ->Args({8, 1, 128})->Args({12, 1, 128})->Args({8, 0, 16})
+    ->Args({8, 1, 16})
+    ->ArgNames({"n", "coded", "m"})
     ->Unit(benchmark::kMillisecond);
 
 /// ViT-ish linear shape ([tokens, k] x W[n, k]^T) through gemm_nt_rows,

@@ -255,8 +255,9 @@ struct ConvTileSink {
 /// columns [c0, c1) of the patch operand `x` (codes or floats), finished
 /// into `sink`.  The kernel reads patch elements straight from the input
 /// stream, decoding (or copying) each input element it reads once, fills
-/// one column panel at a time and sweeps every tile row over it; no
-/// patch matrix, result buffer or scatter pass exists.  Each element
+/// the tile's column panels once and sweeps every row over them (the
+/// SIMD tables a packed sliver of rows at a time); no patch matrix,
+/// result buffer or scatter pass exists.  Each element
 /// keeps the float conv's exact sequence (double accumulator seeded 0,
 /// ascending-k mul-then-add with zero A entries skipped, round to float,
 /// + bias_v, act, nearest index), so tiles are independent and any

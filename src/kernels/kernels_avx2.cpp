@@ -3,31 +3,37 @@
 // dispatch.cpp).
 //
 // Bit-equality with the scalar reference is engineered, not hoped for:
-//  * GEMM accumulates each output element in a dedicated double lane,
-//    contributions added in ascending-k order with one _mm256_fmadd_pd
-//    per step.  Both factors are floats widened to double, so the product
-//    is exact and the single rounding of the FMA equals the scalar code's
+//  * One micro-kernel serves gemm_rows and the conv tile: a 4-row packed
+//    A sliver (ap[p * 4 + r] doubles plus a zero-mask byte per k step,
+//    see SliverKernel) times an 8-column float panel.  Each output
+//    element accumulates in a dedicated double lane, contributions added
+//    in ascending-k order with one _mm256_fmadd_pd per step.  Both
+//    factors are floats widened to double, so the product is exact and
+//    the single rounding of the FMA equals the scalar code's
 //    mul-then-add on every non-NaN result.
 //  * The scalar path's zero-skip (a == 0 contributes nothing, so an inf or
-//    NaN in B under a structural zero never reaches the accumulator) is a
-//    per-(row, k) predicate, identical across the vector lanes of one row,
-//    so it stays an ordinary branch.
+//    NaN in B under a structural zero never reaches the accumulator) is
+//    the sliver's zero mask: a step with no bit set runs all 4 rows
+//    unconditionally; otherwise a row whose bit is set is skipped by an
+//    ordinary branch, a per-(row, k) predicate identical across the
+//    vector lanes of one row.
+//  * Packing widens each A float once (a masked gather of the live rows
+//    per k step); dead rows of a partial sliver hold +0.0, compute on
+//    zeros and are never stored.
 //  * Quantization runs two passes per block: a SIMD pass computing nearest
 //    indices (a per-lane gather search of the key's bucket), then the
 //    shared scalar quantize_apply pass whose element-order error
 //    accumulation is the reference code itself.
-//  * Edge tiles (rows % 4, columns % 8) fall through to the reference
-//    block helpers, which are per-element identical by definition.
-//    The conv tile kernel instead runs a partial last panel at full
-//    width (dead lanes repeat a live column, so lanes never mix) and
-//    stores only the live lanes.
+//  * gemm_rows' edge columns (n % 8) fall through to the reference block
+//    helper, which is per-element identical by definition.  The conv tile
+//    instead runs a partial last panel at full width (dead lanes repeat a
+//    live column, so lanes never mix) and stores only the live lanes.
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "kernels/kernels_internal.h"
 
@@ -35,93 +41,83 @@ namespace lp::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// GEMM (B row-major): cache-blocked, register-tiled micro-kernel.
-//
-// For each 8-column panel of B we pack the k x 8 slice into a contiguous
-// buffer once (pure data movement — loads reorder, arithmetic does not),
-// then sweep all row tiles over it: R rows x 8 columns of double
-// accumulators live in ymm registers for the whole k loop.  `panel_stride`
-// is 8 for a packed panel and n for reading B in place — the values loaded
-// are identical either way, so the choice cannot affect results.
+// The micro-kernel: one 4-row sliver (see SliverKernel) times an 8-column
+// float panel.  4 rows x 8 columns of double accumulators (8 ymm) live in
+// registers for the whole k loop; per k step the panel row widens once
+// and each row's packed double is broadcast from memory into two FMAs.
+// A step whose zero mask is clear runs all 4 rows unconditionally;
+// otherwise rows with their bit set are skipped by an ordinary branch,
+// a per-(row, k) predicate identical across the lanes of one row — an
+// inf or NaN in B under a structural zero never reaches a lane.
 
-template <int R>
-void gemm_micro(const float* a, const float* panel,
-                std::int64_t panel_stride, const float* bias, float* c,
-                std::int64_t i, std::int64_t j, std::int64_t k,
-                std::int64_t n) {
-  __m256d acc[R][2];
-  if (bias != nullptr) {
-    const __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
-    const __m256d b1 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j + 4));
-    for (int r = 0; r < R; ++r) {
-      acc[r][0] = b0;
-      acc[r][1] = b1;
-    }
-  } else {
-    const __m256d z = _mm256_setzero_pd();
-    for (int r = 0; r < R; ++r) {
-      acc[r][0] = z;
-      acc[r][1] = z;
-    }
+constexpr int kRows = 4;
+
+void sliver_micro_avx2(const double* ap, const std::uint8_t* zm,
+                       const float* b, std::int64_t ldb, const float* bias,
+                       float* c, std::int64_t ldc, int live, std::int64_t k) {
+  __m256d acc[kRows][2];
+  const __m256d seed0 = bias != nullptr ? _mm256_cvtps_pd(_mm_loadu_ps(bias))
+                                        : _mm256_setzero_pd();
+  const __m256d seed1 = bias != nullptr
+                            ? _mm256_cvtps_pd(_mm_loadu_ps(bias + 4))
+                            : _mm256_setzero_pd();
+  LP_UNROLL_FULL
+  for (int r = 0; r < kRows; ++r) {
+    acc[r][0] = seed0;
+    acc[r][1] = seed1;
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float* bp = panel + panel_stride * p;
+    const float* bp = b + ldb * p;
     const __m256d bv0 = _mm256_cvtps_pd(_mm_loadu_ps(bp));
     const __m256d bv1 = _mm256_cvtps_pd(_mm_loadu_ps(bp + 4));
-    for (int r = 0; r < R; ++r) {
-      const double av = a[(i + r) * k + p];
-      if (av == 0.0) continue;
-      const __m256d avv = _mm256_set1_pd(av);
-      acc[r][0] = _mm256_fmadd_pd(avv, bv0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_pd(avv, bv1, acc[r][1]);
+    const double* a = ap + p * kRows;
+    const unsigned z = zm[p];
+    if (z == 0) {
+      LP_UNROLL_FULL
+      for (int r = 0; r < kRows; ++r) {
+        const __m256d av = _mm256_broadcast_sd(a + r);
+        acc[r][0] = _mm256_fmadd_pd(av, bv0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_pd(av, bv1, acc[r][1]);
+      }
+    } else {
+      LP_UNROLL_FULL
+      for (int r = 0; r < kRows; ++r) {
+        if (((z >> r) & 1U) != 0) continue;
+        const __m256d av = _mm256_broadcast_sd(a + r);
+        acc[r][0] = _mm256_fmadd_pd(av, bv0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_pd(av, bv1, acc[r][1]);
+      }
     }
   }
-  for (int r = 0; r < R; ++r) {
-    float* crow = c + (i + r) * n + j;
-    _mm_storeu_ps(crow, _mm256_cvtpd_ps(acc[r][0]));
-    _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(acc[r][1]));
+  LP_UNROLL_FULL
+  for (int r = 0; r < kRows; ++r) {
+    if (r < live) {
+      float* crow = c + r * ldc;
+      _mm_storeu_ps(crow, _mm256_cvtpd_ps(acc[r][0]));
+      _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(acc[r][1]));
+    }
   }
 }
 
-void gemm_rows_avx2(const float* a, const float* b, const float* bias,
-                    float* c, std::int64_t row_begin, std::int64_t row_end,
-                    std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 8);
-  const std::int64_t rows = row_end - row_begin;
-  // Packing a panel costs one pass over the k x 8 slice; it only pays for
-  // itself when enough row tiles reuse it.  Short row blocks (the common
-  // case when the thread pool splits a small m) read B in place instead —
-  // same loads, no copy — so pool threads don't duplicate packing traffic.
-  const bool pack = rows >= 8;
-  if (full_cols > 0 && rows > 0) {
-    std::vector<float> panel(pack ? static_cast<std::size_t>(k) * 8 : 0);
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      const float* pnl = b + j;
-      std::int64_t stride = n;
-      if (pack) {
-        float* dst = panel.data();
-        const float* src = b + j;
-        for (std::int64_t p = 0; p < k; ++p, dst += 8, src += n) {
-          std::memcpy(dst, src, 8 * sizeof(float));
-        }
-        pnl = panel.data();
-        stride = 8;
-      }
-      std::int64_t i = row_begin;
-      for (; i + 4 <= row_end; i += 4) {
-        gemm_micro<4>(a, pnl, stride, bias, c, i, j, k, n);
-      }
-      switch (row_end - i) {
-        case 3: gemm_micro<3>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 2: gemm_micro<2>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 1: gemm_micro<1>(a, pnl, stride, bias, c, i, j, k, n); break;
-        default: break;
-      }
-    }
-  }
-  if (full_cols < n) {
-    detail::gemm_ref_block(a, b, bias, c, row_begin, row_end, full_cols, n, k,
-                           n);
+/// Sliver packing: per k step one masked gather collects the live rows'
+/// floats (dead rows read nothing and take +0.0), one widening convert
+/// and one compare give the doubles and their zero mask.
+void pack_sliver_avx2(const float* src, std::int64_t ld, int live,
+                      std::int64_t k, double* ap, std::uint8_t* zm) {
+  const __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
+  const __m128 lm =
+      _mm_castsi128_ps(_mm_cmpgt_epi32(_mm_set1_epi32(live), lane));
+  const __m128i rows =
+      _mm_mullo_epi32(lane, _mm_set1_epi32(static_cast<int>(ld)));
+  const __m128 zf = _mm_setzero_ps();
+  const __m256d zd = _mm256_setzero_pd();
+  const int live_bits = (1 << live) - 1;
+  for (std::int64_t p = 0; p < k; ++p) {
+    const __m256d v =
+        _mm256_cvtps_pd(_mm_mask_i32gather_ps(zf, src + p, rows, lm, 4));
+    _mm256_store_pd(ap + p * kRows, v);
+    zm[p] = static_cast<std::uint8_t>(
+        _mm256_movemask_pd(_mm256_cmp_pd(v, zd, _CMP_EQ_OQ)) & live_bits);
   }
 }
 
@@ -137,9 +133,9 @@ void gemm_rows_avx2(const float* a, const float* b, const float* bias,
 //     LUT (the pshufb trick, lifted to 32-bit lanes via vpermd/vpermps).
 //   * 8-bit: vpgatherdd-style float gather over the <= 256-entry table.
 //   * 16-bit: same gather over the <= 65536-entry table.
-// Nibble extraction stays scalar (arbitrary element offsets from grouped
-// convolutions are not byte-aligned); the LUT application is the vector
-// part worth keeping in registers.
+// Arbitrary element offsets from grouped convolutions need not be
+// byte-aligned: a 4-bit run that starts on an odd nibble decodes its first
+// element alone, then splits whole bytes into nibbles in registers.
 
 void decode_elems_avx2(const PackedCodesView& v, std::int64_t elem_begin,
                        std::int64_t count, float* dst) {
@@ -149,13 +145,20 @@ void decode_elems_avx2(const PackedCodesView& v, std::int64_t elem_begin,
     std::memcpy(lut16, v.lut, v.lut_size * sizeof(float));
     const __m256 lo = _mm256_load_ps(lut16);
     const __m256 hi = _mm256_load_ps(lut16 + 8);
-    for (; i + 8 <= count; i += 8) {
-      alignas(32) std::uint32_t idx[8];
-      for (int l = 0; l < 8; ++l) {
-        idx[l] = packed_code_at(v, elem_begin + i + l);
-      }
-      const __m256i iv =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(idx));
+    if (count > 0 && ((v.offset + elem_begin) & 1) != 0) {
+      dst[0] = packed_decode_at(v, elem_begin);
+      i = 1;
+    }
+    const std::uint8_t* src = v.data + ((v.offset + elem_begin + i) >> 1);
+    const __m128i nib = _mm_set1_epi8(0x0F);
+    for (; i + 8 <= count; i += 8, src += 4) {
+      // 4 bytes hold 8 codes, low nibble first: split and interleave.
+      std::int32_t word;
+      std::memcpy(&word, src, sizeof(word));
+      const __m128i bytes = _mm_cvtsi32_si128(word);
+      const __m256i iv = _mm256_cvtepu8_epi32(_mm_unpacklo_epi8(
+          _mm_and_si128(bytes, nib),
+          _mm_and_si128(_mm_srli_epi16(bytes, 4), nib)));
       const __m256 a = _mm256_permutevar8x32_ps(lo, iv);
       const __m256 b = _mm256_permutevar8x32_ps(hi, iv);
       // Bit 3 of the index picks the upper half; shifted to the sign
@@ -238,13 +241,11 @@ bool gemm_nt_rows_avx2(const PackedCodesView& a, const PackedCodesView& b,
 }
 
 // ---------------------------------------------------------------------------
-// Coded weights, conv layout: the implicit-GEMM tile.  The weight rows
-// are LUT-decoded once and the input region the tile reads is staged
-// once (LUT-decoded codes, or copied floats); then each 8-column panel is
-// filled from the region (padding lanes take +0.0f) and every tile row
-// sweeps it with gemm_micro.  The staged floats equal the float path's
-// operands by the decode contract, so gemm_micro sees the identical IEEE
-// operation sequence.
+// Coded weights, conv layout: the implicit-GEMM tile runs the shared body
+// (detail::conv_tile_with) over this table's decode, sliver packing,
+// micro-kernel and panel fill.  The staged floats equal the float path's
+// operands by the decode contract, so the micro-kernel sees the identical
+// IEEE operation sequence.
 
 /// Panel fill from the tile's staged input region: lane l of patch row
 /// p = (cc, ky, kx) gathers region[off[l] + cc * rows * row_len + ky *
@@ -252,7 +253,7 @@ bool gemm_nt_rows_avx2(const PackedCodesView& a, const PackedCodesView& b,
 /// x.pad_value().
 void fill_panel_avx2(const ConvPatchView& x, const detail::ConvRegion& rg,
                      const float* region, const detail::ConvPanelCols& pc,
-                     float* panel) {
+                     int /*lanes*/, float* panel) {
   alignas(32) std::int32_t off[8];
   alignas(32) std::int32_t iy[8];
   alignas(32) std::int32_t ix[8];
@@ -294,46 +295,20 @@ void fill_panel_avx2(const ConvPatchView& x, const detail::ConvRegion& rg,
   }
 }
 
+constexpr detail::SliverKernel kSliver{kRows, 8, decode_elems_avx2,
+                                      pack_sliver_avx2, sliver_micro_avx2,
+                                      fill_panel_avx2};
+
+void gemm_rows_avx2(const float* a, const float* b, const float* bias,
+                    float* c, std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t k, std::int64_t n) {
+  detail::gemm_rows_with(a, b, bias, c, row_begin, row_end, k, n, kSliver);
+}
+
 bool conv_codes_tile_avx2(const PackedCodesView& a, const ConvPatchView& x,
                           const ConvTileSink& sink, std::int64_t r0,
                           std::int64_t r1, std::int64_t c0, std::int64_t c1) {
-  const std::int64_t k = x.c_count * x.kh * x.kw;
-  const std::int64_t rows = r1 - r0;
-  if (rows <= 0 || c1 <= c0) return true;
-  float* const a_block = detail::tile_scratch(0, rows * k);
-  decode_elems_avx2(a, r0 * k, rows * k, a_block);
-  float* const panel = detail::tile_scratch(1, k * 8);
-  float* const vals = detail::tile_scratch(2, rows * 8);
-  const detail::ConvRegion rg = detail::conv_region(x, c0, c1);
-  const bool staged = rg.floats(x.c_count) <= detail::kConvRegionMaxFloats;
-  float* region = nullptr;
-  if (staged) {
-    region = detail::tile_scratch(3, rg.floats(x.c_count));
-    detail::conv_decode_region(x, rg, decode_elems_avx2, region);
-  }
-  detail::ConvPanelCols pc;
-  bool ok = true;
-  for (std::int64_t j = c0; j < c1; j += 8) {
-    const int lanes = static_cast<int>(std::min<std::int64_t>(8, c1 - j));
-    detail::conv_panel_cols(x, sink.cout, j, lanes, 8, pc);
-    if (staged) {
-      fill_panel_avx2(x, rg, region, pc, panel);
-    } else {
-      detail::conv_gather_panel(x, pc, 8, panel);
-    }
-    std::int64_t i = 0;
-    for (; i + 4 <= rows; i += 4) {
-      gemm_micro<4>(a_block, panel, 8, nullptr, vals, i, 0, k, 8);
-    }
-    switch (rows - i) {
-      case 3: gemm_micro<3>(a_block, panel, 8, nullptr, vals, i, 0, k, 8); break;
-      case 2: gemm_micro<2>(a_block, panel, 8, nullptr, vals, i, 0, k, 8); break;
-      case 1: gemm_micro<1>(a_block, panel, 8, nullptr, vals, i, 0, k, 8); break;
-      default: break;
-    }
-    ok = detail::conv_tile_finish(sink, x, vals, 8, r0, rows, pc, lanes) && ok;
-  }
-  return ok;
+  return detail::conv_tile_with(a, x, sink, r0, r1, c0, c1, kSliver);
 }
 
 // ---------------------------------------------------------------------------

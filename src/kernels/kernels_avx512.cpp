@@ -4,17 +4,26 @@
 //
 // The bit-equality engineering mirrors kernels_avx2.cpp, widened to 16
 // float lanes:
-//  * GEMM accumulates each output element in a dedicated double lane
-//    (two zmm registers per 16 columns), contributions added in
-//    ascending-k order with one _mm512_fmadd_pd per step.  Both factors
-//    are floats widened to double, so their product (at most 48
-//    significant bits, exponent well inside double range) is exact: the
-//    fused multiply-add rounds once where the scalar mul-then-add rounds
-//    twice, but its first rounding is exact, so every non-NaN result is
-//    the same (which input NaN's payload survives is not pinned).
-//  * The zero-skip of A entries stays an ordinary branch: it is a
-//    per-(row, k) predicate identical across the 16 lanes of one row, so
-//    an inf or NaN in B under a structural zero never reaches any lane.
+//  * One micro-kernel serves gemm_rows and the conv tile: an 8-row packed
+//    A sliver (ap[p * 8 + r] doubles plus a zero-mask byte per k step,
+//    see SliverKernel) times a 16-column float panel.  Each output
+//    element accumulates in a dedicated double lane (two zmm registers
+//    per sliver row), contributions added in ascending-k order with one
+//    _mm512_fmadd_pd per step.  Both factors are floats widened to
+//    double, so their product (at most 48 significant bits, exponent well
+//    inside double range) is exact: the fused multiply-add rounds once
+//    where the scalar mul-then-add rounds twice, but its first rounding
+//    is exact, so every non-NaN result is the same (which input NaN's
+//    payload survives is not pinned).
+//  * The zero-skip of A entries is the sliver's zero mask: a step with no
+//    bit set runs all 8 rows unconditionally; otherwise each row's FMAs
+//    are masked off as a whole (a per-(row, k) predicate identical across
+//    the 16 lanes of one row), so an inf or NaN in B under a structural
+//    zero never reaches any lane.
+//  * Packing widens each A float once: a masked gather per k step
+//    collects the sliver's live rows, one convert and one compare give
+//    the doubles and the mask.  Dead rows of a partial sliver hold +0.0,
+//    compute on zeros and are never stored.
 //  * 4-bit LUT decode holds the entire table (<= 16 floats) in a single
 //    zmm register; _mm512_permutexvar_ps is a full 16-entry in-register
 //    lookup, so no blend tree is needed.  8/16-bit codes widen to dword
@@ -24,18 +33,16 @@
 //    native unsigned compare (_mm512_cmp_epu32_mask, no sign-bias xor),
 //    ending at the count of boundary keys <= its key — the reference
 //    scan's index by construction.
-//  * Edge tiles (rows % 4, columns % 16) fall through to the reference
-//    block helpers, which are per-element identical by definition.
-//    The conv tile kernel instead runs a partial last panel at full
-//    width (dead lanes repeat a live column, so lanes never mix) and
-//    stores only the live lanes.
+//  * gemm_rows' edge columns (n % 16) fall through to the reference block
+//    helper, which is per-element identical by definition.  The conv tile
+//    instead runs a partial last panel at full width (dead lanes repeat a
+//    live column, so lanes never mix) and stores only the live lanes.
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "kernels/kernels_internal.h"
 
@@ -43,86 +50,84 @@ namespace lp::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// GEMM (B row-major): cache-blocked, register-tiled micro-kernel.
-// R rows x 16 columns of double accumulators live in zmm registers for
-// the whole k loop.  `panel_stride` is 16 for a packed panel and n for
-// reading B in place — identical loads either way.
+// The micro-kernel: one 8-row sliver (see SliverKernel) times a 16-column
+// float panel.  8 rows x 16 columns of double accumulators (16 zmm) live
+// in registers for the whole k loop; per k step the panel row widens
+// once and each row's packed double is broadcast from memory into two
+// FMAs.  A step whose zero mask is clear runs all 8 rows unconditionally;
+// otherwise each row's FMAs are masked off (all 8 lanes at once) when its
+// bit is set, which leaves the accumulator untouched exactly as the
+// reference's skip does — an inf or NaN in B under a structural zero
+// never reaches a lane.
 
-template <int R>
-void gemm_micro(const float* a, const float* panel, std::int64_t panel_stride,
-                const float* bias, float* c, std::int64_t i, std::int64_t j,
-                std::int64_t k, std::int64_t n) {
-  __m512d acc[R][2];
-  if (bias != nullptr) {
-    const __m512d b0 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j));
-    const __m512d b1 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j + 8));
-    for (int r = 0; r < R; ++r) {
-      acc[r][0] = b0;
-      acc[r][1] = b1;
-    }
-  } else {
-    const __m512d z = _mm512_setzero_pd();
-    for (int r = 0; r < R; ++r) {
-      acc[r][0] = z;
-      acc[r][1] = z;
-    }
+constexpr int kRows = 8;
+
+void sliver_micro_avx512(const double* ap, const std::uint8_t* zm,
+                         const float* b, std::int64_t ldb, const float* bias,
+                         float* c, std::int64_t ldc, int live,
+                         std::int64_t k) {
+  __m512d acc[kRows][2];
+  const __m512d seed0 = bias != nullptr
+                            ? _mm512_cvtps_pd(_mm256_loadu_ps(bias))
+                            : _mm512_setzero_pd();
+  const __m512d seed1 = bias != nullptr
+                            ? _mm512_cvtps_pd(_mm256_loadu_ps(bias + 8))
+                            : _mm512_setzero_pd();
+  LP_UNROLL_FULL
+  for (int r = 0; r < kRows; ++r) {
+    acc[r][0] = seed0;
+    acc[r][1] = seed1;
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float* bp = panel + panel_stride * p;
+    const float* bp = b + ldb * p;
     const __m512d bv0 = _mm512_cvtps_pd(_mm256_loadu_ps(bp));
     const __m512d bv1 = _mm512_cvtps_pd(_mm256_loadu_ps(bp + 8));
-    for (int r = 0; r < R; ++r) {
-      const double av = a[(i + r) * k + p];
-      if (av == 0.0) continue;
-      const __m512d avv = _mm512_set1_pd(av);
-      acc[r][0] = _mm512_fmadd_pd(avv, bv0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_pd(avv, bv1, acc[r][1]);
+    const double* a = ap + p * kRows;
+    const unsigned z = zm[p];
+    if (z == 0) {
+      LP_UNROLL_FULL
+      for (int r = 0; r < kRows; ++r) {
+        const __m512d av = _mm512_set1_pd(a[r]);
+        acc[r][0] = _mm512_fmadd_pd(av, bv0, acc[r][0]);
+        acc[r][1] = _mm512_fmadd_pd(av, bv1, acc[r][1]);
+      }
+    } else {
+      LP_UNROLL_FULL
+      for (int r = 0; r < kRows; ++r) {
+        // All-ones for a live nonzero entry, 0 for a skipped one.
+        const auto m = static_cast<__mmask8>(((z >> r) & 1U) - 1U);
+        const __m512d av = _mm512_set1_pd(a[r]);
+        acc[r][0] = _mm512_mask3_fmadd_pd(av, bv0, acc[r][0], m);
+        acc[r][1] = _mm512_mask3_fmadd_pd(av, bv1, acc[r][1], m);
+      }
     }
   }
-  for (int r = 0; r < R; ++r) {
-    float* crow = c + (i + r) * n + j;
-    _mm256_storeu_ps(crow, _mm512_cvtpd_ps(acc[r][0]));
-    _mm256_storeu_ps(crow + 8, _mm512_cvtpd_ps(acc[r][1]));
+  LP_UNROLL_FULL
+  for (int r = 0; r < kRows; ++r) {
+    if (r < live) {
+      float* crow = c + r * ldc;
+      _mm256_storeu_ps(crow, _mm512_cvtpd_ps(acc[r][0]));
+      _mm256_storeu_ps(crow + 8, _mm512_cvtpd_ps(acc[r][1]));
+    }
   }
 }
 
-void gemm_rows_avx512(const float* a, const float* b, const float* bias,
-                      float* c, std::int64_t row_begin, std::int64_t row_end,
-                      std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 16);
-  const std::int64_t rows = row_end - row_begin;
-  // Pack only when enough row tiles amortize the k x 16 copy (same
-  // heuristic and threshold as the AVX2 table).
-  const bool pack = rows >= 8;
-  if (full_cols > 0 && rows > 0) {
-    std::vector<float> panel(pack ? static_cast<std::size_t>(k) * 16 : 0);
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      const float* pnl = b + j;
-      std::int64_t stride = n;
-      if (pack) {
-        float* dst = panel.data();
-        const float* src = b + j;
-        for (std::int64_t p = 0; p < k; ++p, dst += 16, src += n) {
-          std::memcpy(dst, src, 16 * sizeof(float));
-        }
-        pnl = panel.data();
-        stride = 16;
-      }
-      std::int64_t i = row_begin;
-      for (; i + 4 <= row_end; i += 4) {
-        gemm_micro<4>(a, pnl, stride, bias, c, i, j, k, n);
-      }
-      switch (row_end - i) {
-        case 3: gemm_micro<3>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 2: gemm_micro<2>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 1: gemm_micro<1>(a, pnl, stride, bias, c, i, j, k, n); break;
-        default: break;
-      }
-    }
-  }
-  if (full_cols < n) {
-    detail::gemm_ref_block(a, b, bias, c, row_begin, row_end, full_cols, n, k,
-                           n);
+/// Sliver packing: per k step one masked gather collects the live rows'
+/// floats (dead rows read nothing and take +0.0), one widening convert
+/// and one compare give the doubles and their zero mask.
+void pack_sliver_avx512(const float* src, std::int64_t ld, int live,
+                        std::int64_t k, double* ap, std::uint8_t* zm) {
+  const auto lm = static_cast<__mmask8>((1U << live) - 1U);
+  const __m256i rows = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+      _mm256_set1_epi32(static_cast<int>(ld)));
+  const __m256 zf = _mm256_setzero_ps();
+  const __m512d zd = _mm512_setzero_pd();
+  for (std::int64_t p = 0; p < k; ++p) {
+    const __m512d v = _mm512_cvtps_pd(
+        _mm256_mmask_i32gather_ps(zf, lm, rows, src + p, 4));
+    _mm512_store_pd(ap + p * kRows, v);
+    zm[p] = _mm512_mask_cmp_pd_mask(lm, v, zd, _CMP_EQ_OQ);
   }
 }
 
@@ -130,8 +135,9 @@ void gemm_rows_avx512(const float* a, const float* b, const float* bias,
 // Packed-code decode, 16 elements per step.  The decoded floats are the
 // same floats the float path's quantized-weight tensor stores, so decode
 // placement cannot affect results (see kernels_avx2.cpp for the full
-// argument).  Nibble extraction stays scalar — grouped-convolution slices
-// start at arbitrary element offsets that are not byte-aligned.
+// argument).  Grouped-convolution slices start at arbitrary element
+// offsets, so a 4-bit run that starts on an odd nibble decodes its first
+// element alone; the rest is byte-aligned.
 
 void decode_elems_avx512(const PackedCodesView& v, std::int64_t elem_begin,
                          std::int64_t count, float* dst) {
@@ -142,13 +148,21 @@ void decode_elems_avx512(const PackedCodesView& v, std::int64_t elem_begin,
     // The whole 4-bit table fits one zmm; permutexvar is a full 16-entry
     // in-register LUT (no cross-half blend needed as with 8-lane AVX2).
     const __m512 table = _mm512_load_ps(lut16);
-    for (; i + 16 <= count; i += 16) {
-      alignas(64) std::uint32_t idx[16];
-      for (int l = 0; l < 16; ++l) {
-        idx[l] = packed_code_at(v, elem_begin + i + l);
-      }
-      const __m512i iv = _mm512_load_si512(idx);
-      _mm512_storeu_ps(dst + i, _mm512_permutexvar_ps(iv, table));
+    if (count > 0 && ((v.offset + elem_begin) & 1) != 0) {
+      dst[0] = packed_decode_at(v, elem_begin);
+      i = 1;
+    }
+    const std::uint8_t* src = v.data + ((v.offset + elem_begin + i) >> 1);
+    const __m128i nib = _mm_set1_epi8(0x0F);
+    for (; i + 16 <= count; i += 16, src += 8) {
+      // 8 bytes hold 16 codes, low nibble first: split and interleave.
+      const __m128i bytes =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src));
+      const __m128i codes = _mm_unpacklo_epi8(
+          _mm_and_si128(bytes, nib),
+          _mm_and_si128(_mm_srli_epi16(bytes, 4), nib));
+      _mm512_storeu_ps(dst + i, _mm512_permutexvar_ps(
+                                    _mm512_cvtepu8_epi32(codes), table));
     }
   } else if (v.bits == 8) {
     const std::uint8_t* src = v.data + v.offset + elem_begin;
@@ -229,11 +243,9 @@ bool gemm_nt_rows_avx512(const PackedCodesView& a, const PackedCodesView& b,
 }
 
 // ---------------------------------------------------------------------------
-// Coded weights, conv layout: the implicit-GEMM tile.  The weight rows
-// are LUT-decoded once and the input region the tile reads is staged
-// once (LUT-decoded codes, or copied floats); then each 16-column panel
-// is filled from the region (padding lanes take +0.0f) and every tile
-// row sweeps it with gemm_micro — the same loads and IEEE operation
+// Coded weights, conv layout: the implicit-GEMM tile runs the shared body
+// (detail::conv_tile_with) over this table's decode, sliver packing,
+// micro-kernel and panel fill — the same loads and IEEE operation
 // sequence as the float conv's GEMM over decoded operands.
 
 /// 16 int64 lanes truncated to int32 (exact for the coordinates of any
@@ -298,54 +310,21 @@ void fill_panel_avx512(const ConvPatchView& x, const detail::ConvRegion& rg,
   }
 }
 
+constexpr detail::SliverKernel kSliver{kRows, 16, decode_elems_avx512,
+                                      pack_sliver_avx512, sliver_micro_avx512,
+                                      fill_panel_avx512};
+
+void gemm_rows_avx512(const float* a, const float* b, const float* bias,
+                      float* c, std::int64_t row_begin, std::int64_t row_end,
+                      std::int64_t k, std::int64_t n) {
+  detail::gemm_rows_with(a, b, bias, c, row_begin, row_end, k, n, kSliver);
+}
+
 bool conv_codes_tile_avx512(const PackedCodesView& a,
                             const ConvPatchView& x, const ConvTileSink& sink,
                             std::int64_t r0, std::int64_t r1, std::int64_t c0,
                             std::int64_t c1) {
-  const std::int64_t k = x.c_count * x.kh * x.kw;
-  const std::int64_t rows = r1 - r0;
-  if (rows <= 0 || c1 <= c0) return true;
-  float* const a_block = detail::tile_scratch(0, rows * k);
-  decode_elems_avx512(a, r0 * k, rows * k, a_block);
-  float* const panel = detail::tile_scratch(1, k * 16);
-  float* const vals = detail::tile_scratch(2, rows * 16);
-  const detail::ConvRegion rg = detail::conv_region(x, c0, c1);
-  const bool staged = rg.floats(x.c_count) <= detail::kConvRegionMaxFloats;
-  float* region = nullptr;
-  if (staged) {
-    region = detail::tile_scratch(3, rg.floats(x.c_count));
-    detail::conv_decode_region(x, rg, decode_elems_avx512, region);
-  }
-  detail::ConvPanelCols pc;
-  bool ok = true;
-  for (std::int64_t j = c0; j < c1; j += 16) {
-    const int lanes = static_cast<int>(std::min<std::int64_t>(16, c1 - j));
-    detail::conv_panel_cols(x, sink.cout, j, lanes, 16, pc);
-    if (staged) {
-      fill_panel_avx512(x, rg, region, pc, lanes, panel);
-    } else {
-      detail::conv_gather_panel(x, pc, 16, panel);
-    }
-    // 8-row tiles: 16 zmm accumulators amortize each panel row's two
-    // float->double conversions over twice the rows of the 4-row tile.
-    std::int64_t i = 0;
-    for (; i + 8 <= rows; i += 8) {
-      gemm_micro<8>(a_block, panel, 16, nullptr, vals, i, 0, k, 16);
-    }
-    if (rows - i >= 4) {
-      gemm_micro<4>(a_block, panel, 16, nullptr, vals, i, 0, k, 16);
-      i += 4;
-    }
-    switch (rows - i) {
-      case 3: gemm_micro<3>(a_block, panel, 16, nullptr, vals, i, 0, k, 16); break;
-      case 2: gemm_micro<2>(a_block, panel, 16, nullptr, vals, i, 0, k, 16); break;
-      case 1: gemm_micro<1>(a_block, panel, 16, nullptr, vals, i, 0, k, 16); break;
-      default: break;
-    }
-    ok = detail::conv_tile_finish(sink, x, vals, 16, r0, rows, pc, lanes) &&
-         ok;
-  }
-  return ok;
+  return detail::conv_tile_with(a, x, sink, r0, r1, c0, c1, kSliver);
 }
 
 // ---------------------------------------------------------------------------

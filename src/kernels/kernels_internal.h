@@ -29,8 +29,9 @@ using DecodeElemsFn = void (*)(const PackedCodesView& v,
 void decode_elems_ref(const PackedCodesView& v, std::int64_t elem_begin,
                       std::int64_t count, float* dst);
 
-/// Widest column panel of the linear-layout GEMM.
-inline constexpr int kNtPanelMax = 16;
+/// Widest column panel of any GEMM (the linear layout's dot-product
+/// panels, gemm_rows' and the conv tile's micro-kernel panels).
+inline constexpr int kPanelMax = 16;
 
 /// Column panel of the linear-layout GEMM: for rows i in [0, rows) of
 /// the staged float A block `a` ([rows, k] row-major) and the `w`
@@ -54,7 +55,7 @@ void gemm_nt_ref_panel(const float* a, const float* const* br, int w,
 
 /// What a table plugs into the shared linear-layout GEMM body.
 struct NtKernel {
-  int width;             ///< columns per panel, <= kNtPanelMax
+  int width;             ///< columns per panel, <= kPanelMax
   DecodeElemsFn decode;  ///< LUT decode of coded operand rows
   NtPanelFn panel;
 };
@@ -79,10 +80,10 @@ bool gemm_nt_rows_with(const PackedCodesView& a, const PackedCodesView& b,
 /// or past the edge in the padding), and `dst` its output element in
 /// output channel 0 (img * cout * ho * wo + oy * wo + ox).
 struct ConvPanelCols {
-  std::int64_t img[16];
-  std::int64_t iy[16];
-  std::int64_t ix[16];
-  std::int64_t dst[16];
+  std::int64_t img[kPanelMax];
+  std::int64_t iy[kPanelMax];
+  std::int64_t ix[kPanelMax];
+  std::int64_t dst[kPanelMax];
 };
 
 /// Fill `pc` for the `width`-lane panel starting at patch column c0, of
@@ -141,19 +142,111 @@ void conv_region_lanes(const ConvPatchView& x, const ConvRegion& rg,
 /// Finish one panel of a conv tile: vals[r * width + l] holds the rounded
 /// accumulator of tile row r0 + r, lane l.  Adds the row's bias_v, then
 /// stores the first `lanes` lanes of every row through the sink (a float
-/// NCHW store, or act + batched nearest-index encode + code write).
-/// Clobbers vals.  Returns false when the encode sink met a non-finite
-/// live element (all other elements are still written).
+/// NCHW store at the lane's output offset dst[l], see
+/// ConvPanelCols::dst, or act + batched nearest-index encode + code
+/// write).  Clobbers vals.  Returns false when the encode sink met a
+/// non-finite live element (all other elements are still written).
 bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
                       float* vals, int width, std::int64_t r0,
-                      std::int64_t rows, const ConvPanelCols& pc, int lanes);
+                      std::int64_t rows, const std::int64_t* dst, int lanes);
 
-/// Thread-local float scratch for the conv tile and linear-layout GEMM
-/// kernels, one buffer per `slot` (0 = decoded A rows, 1 = decoded patch
-/// panel or B^T rows, 2 = staged results ahead of an encode, 3 = decoded
-/// input region).  Not zeroed: every kernel writes what it reads.  Valid
-/// until the next call with the same slot on the same thread.
-[[nodiscard]] float* tile_scratch(int slot, std::int64_t count);
+/// Thread-local scratch for the conv tile and the GEMM kernels, one
+/// 64-byte-aligned buffer per `slot`:
+///  * 0: packed A slivers (see SliverKernel) — one sliver in the conv
+///    tile, a block of at most kSliverBlockDoubles in gemm_rows — or the
+///    linear-layout GEMM's decoded A rows;
+///  * 1: the conv tile's staged column panels (k x width floats each,
+///    bounded by the schedule's patch cap), gemm_rows' packed B panel, or
+///    the linear-layout GEMM's decoded B^T rows;
+///  * 2: the conv tile's decoded sliver rows and its panels' output
+///    offsets, or the linear-layout GEMM's staged results ahead of an
+///    encode;
+///  * 3: the conv tile's staged input region.
+/// Not zeroed: every kernel writes what it reads.  Valid until the next
+/// call with the same slot on the same thread.
+[[nodiscard]] void* tile_scratch_bytes(int slot, std::size_t bytes);
+
+template <typename T = float>
+[[nodiscard]] T* tile_scratch(int slot, std::int64_t count) {
+  return static_cast<T*>(
+      tile_scratch_bytes(slot, static_cast<std::size_t>(count) * sizeof(T)));
+}
+
+/// A sliver holds R consecutive rows of the A operand k-major as
+/// doubles, ap[p * R + r], with one zero-mask byte per k step: bit r of
+/// zm[p] is set when live row r's value at p is +-0.  Rows past `live`
+/// (a partial last sliver) are packed as +0.0 with their bit clear: they
+/// compute on zeros and are never stored.  Each float is widened once, at
+/// packing, so a tier's micro-kernel broadcasts A straight from memory
+/// into its FMAs.
+///
+/// Pack rows [0, live) of the float block `src` (row stride `ld`) into
+/// the sliver (ap, zm).  Reads only the live rows.
+using SliverPackFn = void (*)(const float* src, std::int64_t ld, int live,
+                              std::int64_t k, double* ap, std::uint8_t* zm);
+
+/// A tier's micro-kernel: for rows r in [0, live) of the sliver and the
+/// k x width float panel `b` (row stride ldb), c[r * ldc + l] = the
+/// double sum of bias[l] (or 0) and ap[p * R + r] * b[p * ldb + l] over
+/// ascending p, rows whose zm bit is set at p skipped, rounded once.
+/// Steps with zm[p] == 0 take an unconditional path.
+using SliverMicroFn = void (*)(const double* ap, const std::uint8_t* zm,
+                               const float* b, std::int64_t ldb,
+                               const float* bias, float* c, std::int64_t ldc,
+                               int live, std::int64_t k);
+
+/// A tier's panel fill from the tile's staged input region:
+/// panel[p * width + l] = patch element (p, lane l), padding lanes taking
+/// x.pad_value().
+using ConvFillFn = void (*)(const ConvPatchView& x, const ConvRegion& rg,
+                            const float* region, const ConvPanelCols& pc,
+                            int lanes, float* panel);
+
+/// Tallest sliver of any tier.
+inline constexpr int kSliverRowsMax = 8;
+
+/// Fully unroll the next loop (over a sliver's rows), so a micro-kernel's
+/// accumulator array stays in registers; GCC spills it to the stack
+/// otherwise.
+#if defined(__clang__)
+#define LP_UNROLL_FULL _Pragma("clang loop unroll(full)")
+#else
+#define LP_UNROLL_FULL _Pragma("GCC unroll 16")
+#endif
+
+/// Largest gemm_rows sliver block (256 KiB of doubles): every sliver of
+/// a block reuses the block's packed B panel.
+inline constexpr std::int64_t kSliverBlockDoubles = std::int64_t{1} << 15;
+
+/// What a SIMD tier plugs into the shared gemm_rows and conv tile bodies.
+struct SliverKernel {
+  int rows;   ///< R, rows per sliver (<= kSliverRowsMax)
+  int width;  ///< columns per panel (<= kPanelMax)
+  DecodeElemsFn decode;
+  SliverPackFn pack;
+  SliverMicroFn micro;
+  ConvFillFn fill;
+};
+
+/// Body of the SIMD gemm_rows (see GemmRowsFn): A rows are packed into
+/// slivers once per call, a block of at most kSliverBlockDoubles at a
+/// time; each full `width`-column panel of B (copied k-major when the
+/// block holds two or more slivers, else read in place) is swept by
+/// every sliver of the block.  Columns past the last full panel take
+/// gemm_ref_block.
+void gemm_rows_with(const float* a, const float* b, const float* bias,
+                    float* c, std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t k, std::int64_t n, const SliverKernel& kern);
+
+/// Body of the SIMD conv tiles (see ConvCodesTileFn): stage the input
+/// region once, fill every column panel of the tile once, then for each
+/// sliver of R weight rows LUT-decode and pack the rows and sweep the
+/// sliver over every panel, finishing each (sliver, panel) block
+/// through conv_tile_finish.
+bool conv_tile_with(const PackedCodesView& a, const ConvPatchView& x,
+                    const ConvTileSink& sink, std::int64_t r0,
+                    std::int64_t r1, std::int64_t c0, std::int64_t c1,
+                    const SliverKernel& kern);
 
 /// Encode one finished output element for the fused epilogue: apply
 /// ep.act, nearest-index through ep.qidx, write the code at element e of

@@ -59,7 +59,7 @@ bool gemm_nt_rows(const PackedCodesView& a, const PackedCodesView& b,
                   std::int64_t k, std::int64_t n) {
   return detail::gemm_nt_rows_with(
       a, b, bias, c, ep, row_begin, row_end, k, n,
-      {detail::kNtPanelMax, detail::decode_elems_ref,
+      {detail::kPanelMax, detail::decode_elems_ref,
        detail::gemm_nt_ref_panel<ApproxMode::kPlam>});
 }
 

@@ -4,7 +4,10 @@
 // must reproduce bit-for-bit.
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/quant_rule.h"
@@ -101,7 +104,7 @@ bool gemm_nt_rows_with(const PackedCodesView& a, const PackedCodesView& b,
       b.lut == nullptr ? nullptr : tile_scratch(1, kern.width * k);
   float* const c_block =
       ep == nullptr ? c + row_begin * n : tile_scratch(2, rows * n);
-  const float* br[kNtPanelMax];
+  const float* br[kPanelMax];
   for (std::int64_t j = 0; j < n; j += kern.width) {
     const int w = static_cast<int>(std::min<std::int64_t>(kern.width, n - j));
     for (int l = 0; l < w; ++l) {
@@ -210,7 +213,7 @@ bool encode_scratch_block(const ActEncode& ep, float* scratch,
 
 bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
                       float* vals, int width, std::int64_t r0,
-                      std::int64_t rows, const ConvPanelCols& pc, int lanes) {
+                      std::int64_t rows, const std::int64_t* dst, int lanes) {
   const std::int64_t plane = x.ho * x.wo;
   for (std::int64_t r = 0; r < rows; ++r) {
     const float bias_v = sink.bias != nullptr ? sink.bias[r0 + r] : 0.0F;
@@ -219,9 +222,9 @@ bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
   }
   if (sink.ep == nullptr) {
     for (std::int64_t r = 0; r < rows; ++r) {
-      float* dst = sink.out + (sink.ch_begin + r0 + r) * plane;
+      float* out = sink.out + (sink.ch_begin + r0 + r) * plane;
       const float* v = vals + r * width;
-      for (int l = 0; l < lanes; ++l) dst[pc.dst[l]] = v[l];
+      for (int l = 0; l < lanes; ++l) out[dst[l]] = v[l];
     }
     return true;
   }
@@ -238,19 +241,32 @@ bool conv_tile_finish(const ConvTileSink& sink, const ConvPatchView& x,
         ok = false;  // non-finite: no code, matching encode_elem
         continue;
       }
-      packed_code_write(ep.codes, ep.bits, e0 + pc.dst[l], ir[l]);
+      packed_code_write(ep.codes, ep.bits, e0 + dst[l], ir[l]);
     }
   }
   return ok;
 }
 
-float* tile_scratch(int slot, std::int64_t count) {
-  thread_local std::vector<float> bufs[4];
-  std::vector<float>& buf = bufs[slot];
-  if (static_cast<std::int64_t>(buf.size()) < count) {
-    buf.resize(static_cast<std::size_t>(count));
+void* tile_scratch_bytes(int slot, std::size_t bytes) {
+  struct alignas(64) Line {
+    std::byte b[64];
+  };
+  struct Buf {
+    std::unique_ptr<Line[]> data;
+    std::size_t lines = 0;
+  };
+  thread_local Buf bufs[4];
+  Buf& buf = bufs[slot];
+  const std::size_t lines = (bytes + sizeof(Line) - 1) / sizeof(Line);
+  if (buf.lines < lines) {
+    // Contents need not survive a call, so the old buffer goes first and
+    // the new one is exactly the request, left uninitialized: the slot's
+    // footprint is its largest request, touched only where written.
+    buf.data.reset();
+    buf.data = std::make_unique_for_overwrite<Line[]>(lines);
+    buf.lines = lines;
   }
-  return buf.data();
+  return buf.data.get();
 }
 
 void conv_panel_cols(const ConvPatchView& x, std::int64_t cout,
@@ -359,6 +375,115 @@ void conv_region_lanes(const ConvPatchView& x, const ConvRegion& rg,
   }
 }
 
+void gemm_rows_with(const float* a, const float* b, const float* bias,
+                    float* c, std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t k, std::int64_t n, const SliverKernel& kern) {
+  const std::int64_t w = kern.width;
+  const std::int64_t r = kern.rows;
+  const std::int64_t full_cols = n - (n % w);
+  const std::int64_t rows = row_end - row_begin;
+  if (full_cols > 0 && rows > 0) {
+    const std::int64_t sliver = r * k;  // doubles per sliver
+    const std::int64_t per_block = std::max<std::int64_t>(
+        1, kSliverBlockDoubles / std::max<std::int64_t>(1, sliver));
+    const std::int64_t slivers = (rows + r - 1) / r;
+    for (std::int64_t s0 = 0; s0 < slivers; s0 += per_block) {
+      const std::int64_t nb = std::min(per_block, slivers - s0);
+      // The block's slivers, then their zero masks (k bytes each).
+      double* const ap =
+          tile_scratch<double>(0, nb * sliver + (nb * k + 7) / 8);
+      auto* const zm = reinterpret_cast<std::uint8_t*>(ap + nb * sliver);
+      const std::int64_t i0 = row_begin + s0 * r;
+      const std::int64_t i1 = std::min(row_end, i0 + nb * r);
+      for (std::int64_t q = 0; q < nb; ++q) {
+        const std::int64_t i = i0 + q * r;
+        kern.pack(a + i * k, k, static_cast<int>(std::min(r, i1 - i)), k,
+                  ap + q * sliver, zm + q * k);
+      }
+      // Packing a panel is one pass over k x w floats; it pays once two
+      // or more slivers reuse it.  A lone sliver reads B in place (same
+      // values, no copy).
+      float* const panel = nb >= 2 ? tile_scratch(1, k * w) : nullptr;
+      for (std::int64_t j = 0; j < full_cols; j += w) {
+        const float* pb = b + j;
+        std::int64_t ldb = n;
+        if (panel != nullptr) {
+          for (std::int64_t p = 0; p < k; ++p) {
+            std::memcpy(panel + p * w, b + p * n + j,
+                        static_cast<std::size_t>(w) * sizeof(float));
+          }
+          pb = panel;
+          ldb = w;
+        }
+        for (std::int64_t q = 0; q < nb; ++q) {
+          const std::int64_t i = i0 + q * r;
+          kern.micro(ap + q * sliver, zm + q * k, pb, ldb,
+                     bias != nullptr ? bias + j : nullptr, c + i * n + j, n,
+                     static_cast<int>(std::min(r, i1 - i)), k);
+        }
+      }
+    }
+  }
+  if (full_cols < n) {
+    gemm_ref_block(a, b, bias, c, row_begin, row_end, full_cols, n, k, n);
+  }
+}
+
+bool conv_tile_with(const PackedCodesView& a, const ConvPatchView& x,
+                    const ConvTileSink& sink, std::int64_t r0,
+                    std::int64_t r1, std::int64_t c0, std::int64_t c1,
+                    const SliverKernel& kern) {
+  const std::int64_t k = x.c_count * x.kh * x.kw;
+  if (r1 <= r0 || c1 <= c0) return true;
+  const int w = kern.width;
+  const std::int64_t r = kern.rows;
+  const std::int64_t panel_floats = k * w;
+  const std::int64_t panels = (c1 - c0 + w - 1) / w;
+  float* const staged = tile_scratch(1, panels * panel_floats);
+  // Slot 2: each panel's output offsets, then one sliver's decoded rows.
+  auto* const dst =
+      tile_scratch<std::int64_t>(2, panels * w + (r * k + 1) / 2);
+  auto* const rows_dec = reinterpret_cast<float*>(dst + panels * w);
+  const ConvRegion rg = conv_region(x, c0, c1);
+  const bool in_region = rg.floats(x.c_count) <= kConvRegionMaxFloats;
+  float* region = nullptr;
+  if (in_region) {
+    region = tile_scratch(3, rg.floats(x.c_count));
+    conv_decode_region(x, rg, kern.decode, region);
+  }
+  ConvPanelCols pc;
+  for (std::int64_t q = 0; q < panels; ++q) {
+    const std::int64_t j = c0 + q * w;
+    const int lanes = static_cast<int>(std::min<std::int64_t>(w, c1 - j));
+    conv_panel_cols(x, sink.cout, j, lanes, w, pc);
+    float* const panel = staged + q * panel_floats;
+    if (in_region) {
+      kern.fill(x, rg, region, pc, lanes, panel);
+    } else {
+      conv_gather_panel(x, pc, w, panel);
+    }
+    std::copy_n(pc.dst, w, dst + q * w);
+  }
+  double* const ap = tile_scratch<double>(0, r * k + (k + 7) / 8);
+  auto* const zm = reinterpret_cast<std::uint8_t*>(ap + r * k);
+  alignas(64) float vals[kSliverRowsMax * kPanelMax];
+  bool ok = true;
+  for (std::int64_t i = r0; i < r1; i += r) {
+    const int live = static_cast<int>(std::min(r, r1 - i));
+    kern.decode(a, i * k, live * k, rows_dec);
+    kern.pack(rows_dec, k, live, k, ap, zm);
+    for (std::int64_t q = 0; q < panels; ++q) {
+      const int lanes =
+          static_cast<int>(std::min<std::int64_t>(w, c1 - c0 - q * w));
+      kern.micro(ap, zm, staged + q * panel_floats, w, nullptr, vals, w, live,
+                 k);
+      ok = conv_tile_finish(sink, x, vals, w, i, live, dst + q * w, lanes) &&
+           ok;
+    }
+  }
+  return ok;
+}
+
 std::size_t qindex_lookup(const QuantIndexView& v, std::uint32_t key) {
   const std::uint32_t b = key >> (32 - v.bucket_bits);
   const std::uint32_t* first = v.keys + v.bucket_lo[b];
@@ -409,7 +534,7 @@ bool gemm_nt_rows_scalar(const PackedCodesView& a, const PackedCodesView& b,
                          std::int64_t k, std::int64_t n) {
   return detail::gemm_nt_rows_with(
       a, b, bias, c, ep, row_begin, row_end, k, n,
-      {detail::kNtPanelMax, detail::decode_elems_ref,
+      {detail::kPanelMax, detail::decode_elems_ref,
        detail::gemm_nt_ref_panel<ApproxMode::kExact>});
 }
 
@@ -444,7 +569,8 @@ bool conv_codes_tile_scalar(const PackedCodesView& a, const ConvPatchView& x,
         vals[r * kWidth + l] = static_cast<float>(acc[l]);
       }
     }
-    ok = detail::conv_tile_finish(sink, x, vals, kWidth, r0, rows, pc, lanes) &&
+    ok = detail::conv_tile_finish(sink, x, vals, kWidth, r0, rows, pc.dst,
+                                  lanes) &&
          ok;
   }
   return ok;

@@ -10,18 +10,6 @@
 namespace lp::nn {
 namespace {
 
-/// Copy a column block [c0, c1) of a [R, D] matrix into a fresh [R, c1-c0].
-Tensor copy_cols(const Tensor& m, std::int64_t c0, std::int64_t c1) {
-  const std::int64_t r = m.dim(0);
-  const std::int64_t d = m.dim(1);
-  LP_DCHECK(c0 >= 0 && c1 <= d && c0 < c1);
-  Tensor out({r, c1 - c0});
-  for (std::int64_t i = 0; i < r; ++i) {
-    std::copy_n(m.raw() + i * d + c0, c1 - c0, out.raw() + i * (c1 - c0));
-  }
-  return out;
-}
-
 /// Capture hook shared by weighted nodes.
 void capture_pooled(const RunCtx& ctx, const Tensor& out) {
   if (ctx.pooled_capture != nullptr) ctx.pooled_capture->push_back(kurtosis_pool(out));
@@ -351,11 +339,14 @@ Tensor AttentionNode::attend(const Tensor& tokens, const RunCtx& ctx) const {
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (int h = 0; h < heads_; ++h) {
       const std::int64_t c0 = h * dh;
-      // Slice this sample's token rows, then this head's columns.
+      // This head's dh columns of the sample's t token rows, copied once.
       auto head_slice = [&](const Tensor& m) {
-        Tensor rows({t, d});
-        std::copy_n(m.raw() + bi * t * d, t * d, rows.raw());
-        return copy_cols(rows, c0, c0 + dh);
+        Tensor out({t, dh});
+        const float* src = m.raw() + bi * t * d + c0;
+        for (std::int64_t ti = 0; ti < t; ++ti) {
+          std::copy_n(src + ti * d, dh, out.raw() + ti * dh);
+        }
+        return out;
       };
       const Tensor qh = head_slice(qkv[0]);
       const Tensor kh = head_slice(qkv[1]);

@@ -23,40 +23,49 @@ namespace {
 /// the scheduling round-trip.
 constexpr std::int64_t kGemmSerialBelow = 1 << 16;
 constexpr std::int64_t kRowsSerialBelow = 1 << 14;
+/// Rows of one packed A sliver on the widest SIMD table (the avx2 sliver,
+/// 4 rows, divides it): GEMM row blocks and conv tile row blocks come in
+/// whole slivers, so only a matrix's last block computes dead rows.
+constexpr std::int64_t kSliverRows = 8;
 
 /// Shared serial/parallel dispatch for row loops: run body(begin, end, chunk)
 /// over [0, count) — inline when the estimated work is under `serial_below`,
-/// else row-blocked on the default pool.  Only for loops whose per-row
-/// results are independent of the split (every caller here), so the
-/// pool-size-dependent grain cannot affect results.
+/// else row-blocked on the default pool, blocks a multiple of `align`
+/// rows.  Only for loops whose per-row results are independent of the
+/// split (every caller here), so the pool-size-dependent grain cannot
+/// affect results.
 void for_row_blocks(
     std::int64_t work, std::int64_t serial_below, std::int64_t count,
-    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& body) {
+    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& body,
+    std::int64_t align = 1) {
   if (work < serial_below || count <= 1) {
     body(0, count, 0);
     return;
   }
   ThreadPool& pool = default_pool();
-  parallel_for(pool, 0, count, balanced_grain(count, pool.thread_count()), body);
+  const std::int64_t grain = balanced_grain(count, pool.thread_count());
+  parallel_for(pool, 0, count, (grain + align - 1) / align * align, body);
 }
 
-/// Parallel GEMM over M-row blocks: the thread pool splits rows, the
-/// dispatched kernel (src/kernels — scalar reference or AVX2 blocked
-/// micro-kernel, selected at runtime) runs inside each block.  Every
-/// kernel accumulates each output element in double, contributions added
-/// in ascending-k order with zero A entries skipped — the exact arithmetic
-/// sequence matmul_nt's dot products produce, so both weight layouts and
-/// all dispatch variants round identically (see
+/// Parallel GEMM over M-row blocks of whole slivers: the thread pool
+/// splits rows, the dispatched kernel (src/kernels — the scalar reference
+/// or a SIMD tier's sliver micro-kernel, selected at runtime) runs inside
+/// each block.  Every kernel accumulates each output element in double,
+/// contributions added in ascending-k order with zero A entries skipped —
+/// the exact arithmetic sequence matmul_nt's dot products produce, so both
+/// weight layouts and all dispatch variants round identically (see
 /// MatMul.NtBitIdenticalAdversarialMagnitudes and tests/test_kernels.cpp).
 /// Rows are independent, so the split is free to depend on the pool size
 /// without affecting results.
 void gemm_parallel(const float* a, const float* b, const float* bias, float* c,
                    std::int64_t m, std::int64_t k, std::int64_t n) {
   const kernels::KernelTable& kt = kernels::dispatch();
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_rows(a, b, bias, c, row_begin, row_end, k, n);
-                 });
+  for_row_blocks(
+      m * k * n, kGemmSerialBelow, m,
+      [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
+        kt.gemm_rows(a, b, bias, c, row_begin, row_end, k, n);
+      },
+      kSliverRows);
 }
 
 /// The one linear-layout GEMM driver: every matmul_nt* entry runs the
@@ -381,12 +390,12 @@ kernels::ConvPatchView patch_view(const PackedCodes& input,
 /// finishes every element into `sink` (float NCHW store or fused act +
 /// encode).  The schedule depends only on the shape and the pool width:
 /// column blocks of whole 16-column panels when a group has at least
-/// 4 x threads panels, otherwise row blocks of at least kMinTileRows rows
-/// as well.  Column blocks are capped so a tile's patch elements
-/// (k x columns, which bound the input region it stages) stay within
-/// kTilePatchFloats, and row blocks so its decoded weight rows stay
-/// within kTileWeightFloats: both live in per-thread scratch that
-/// persists across calls.  Every output element is computed by exactly
+/// 4 x threads panels, otherwise row blocks of whole kSliverRows-row
+/// slivers as well.  Column blocks are capped so a tile's patch elements
+/// (k x columns: its staged panels, which also bound the input region it
+/// stages) stay within kTilePatchFloats of per-thread scratch that
+/// persists across calls; rows need no cap, since a tile packs one
+/// weight sliver at a time.  Every output element is computed by exactly
 /// one tile with the float conv's exact arithmetic sequence, so no tiling
 /// (and no pool size) can change a bit.  `make_sink(out_shape)` allocates
 /// the output and returns the sink (bias, cout and ch_begin are filled in
@@ -421,8 +430,6 @@ bool conv2d_tiled(kernels::ConvPatchView x,
 
   // Tile schedule (shape and pool width only).
   constexpr std::int64_t kPanel = 16;
-  constexpr std::int64_t kMinTileRows = 8;
-  constexpr std::int64_t kTileWeightFloats = std::int64_t{1} << 18;
   constexpr std::int64_t kTilePatchFloats = std::int64_t{1} << 16;
   const std::int64_t panels = (col_width + kPanel - 1) / kPanel;
   std::int64_t panels_per_tile = panels;
@@ -437,11 +444,10 @@ bool conv2d_tiled(kernels::ConvPatchView x,
     } else {
       panels_per_tile = 1;
       const std::int64_t row_splits = (target + panels - 1) / panels;
-      rows_per_tile = std::max(kMinTileRows,
-                               (cg_out + row_splits - 1) / row_splits);
+      const std::int64_t split_rows = (cg_out + row_splits - 1) / row_splits;
+      rows_per_tile =
+          (split_rows + kSliverRows - 1) / kSliverRows * kSliverRows;
     }
-    rows_per_tile = std::min(rows_per_tile,
-                             std::max(kMinTileRows, kTileWeightFloats / k));
   }
   const std::int64_t cols_per_tile = panels_per_tile * kPanel;
   const std::int64_t row_tiles = (cg_out + rows_per_tile - 1) / rows_per_tile;

@@ -111,10 +111,12 @@ struct GemmShape {
   std::int64_t m, k, n;
 };
 
-// Deliberately not multiples of the 8-wide vector step (and one 1x1x1).
-const GemmShape kShapes[] = {{1, 1, 1},  {2, 3, 5},   {3, 7, 9},
-                             {5, 16, 8}, {4, 17, 33}, {7, 64, 31},
-                             {8, 129, 40}};
+// Deliberately not multiples of the 8-wide vector step (and one 1x1x1);
+// m > 8 gives the SIMD tiers a second (often partial) A sliver.
+const GemmShape kShapes[] = {{1, 1, 1},   {2, 3, 5},    {3, 7, 9},
+                             {5, 16, 8},  {4, 17, 33},  {7, 64, 31},
+                             {8, 129, 40}, {9, 33, 17},  {13, 40, 35},
+                             {17, 20, 48}, {24, 129, 16}};
 
 constexpr std::uint8_t kUnwritten = 0xA5;
 
@@ -211,7 +213,8 @@ TEST_F(CodesKernelTest, TablesCarryCodeKernels) {
 /// against decode-then-gemm_rows on the scalar reference, every table,
 /// every code width, per-row bias on/off (the conv adds it to the
 /// rounded product), unaligned offsets, and infs in float B guarded by
-/// structural-zero codes in A.
+/// structural-zero codes in A — in every row at one k step, and in a
+/// subset of each sliver's rows at another.
 TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
   for (const int bits : {4, 8, 16}) {
     const std::size_t lut_size = bits == 4 ? 16 : bits == 8 ? 200 : 1000;
@@ -231,6 +234,21 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
         for (std::int64_t i = 0; i < s.m; ++i) {
           idx[static_cast<std::size_t>(i * s.k)] = 0;
         }
+        // Per-row zero masks: at the last k step only rows i % 3 == 1 hold
+        // the zero code, a strict subset of every sliver, and B's row
+        // there is all +-inf — a kernel that treats a partial zero mask
+        // as all-clear turns those rows into NaN.
+        const std::int64_t p_inf = s.k - 1;
+        if (s.k >= 3) {
+          for (std::int64_t i = 0; i < s.m; ++i) {
+            auto& v = idx[static_cast<std::size_t>(i * s.k + p_inf)];
+            if (i % 3 == 1) {
+              v = 0;
+            } else if (v == 0) {
+              v = 1;
+            }
+          }
+        }
         const std::vector<std::uint8_t> stream = pack_raw(idx, bits, offset);
         const kernels::PackedCodesView view{
             stream.data(), offset, bits, lut.data(),
@@ -245,6 +263,12 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
         if (s.k >= 2) {
           for (std::int64_t j = 0; j < s.n; j += 2) {
             b[static_cast<std::size_t>(j)] = (j % 4 == 0) ? kInf : -kInf;
+          }
+        }
+        if (s.k >= 3) {
+          for (std::int64_t j = 0; j < s.n; ++j) {
+            b[static_cast<std::size_t>(p_inf * s.n + j)] =
+                (j % 2 == 0) ? kInf : -kInf;
           }
         }
 

@@ -101,9 +101,12 @@ struct GemmShape {
   std::int64_t m, k, n;
 };
 
-const GemmShape kShapes[] = {{1, 1, 1},  {2, 3, 5},   {3, 7, 9},
-                             {5, 16, 8}, {4, 17, 33}, {7, 64, 31},
-                             {8, 129, 40}};
+// Not multiples of the vector widths; m > 8 gives the SIMD tiers a second
+// (often partial) A sliver.
+const GemmShape kShapes[] = {{1, 1, 1},   {2, 3, 5},    {3, 7, 9},
+                             {5, 16, 8},  {4, 17, 33},  {7, 64, 31},
+                             {8, 129, 40}, {9, 33, 17},  {13, 40, 35},
+                             {17, 20, 48}, {24, 129, 16}};
 
 class KernelTablesTest : public ::testing::Test {
  protected:
@@ -298,6 +301,25 @@ class GemmBitEquality : public KernelTablesTest {
       }
       for (std::int64_t i = 0; i < s.m; ++i) {
         a[static_cast<std::size_t>(i * s.k)] = 0.0F;
+      }
+      // Per-row zero masks: B's last k row is all +-inf, and only rows
+      // i % 3 == 1 of A are zero there — a strict subset of every sliver,
+      // so a kernel that treats a partial zero mask as all-clear turns
+      // those rows into NaN.
+      if (s.k >= 3) {
+        const std::int64_t p = s.k - 1;
+        for (std::int64_t j = 0; j < s.n; ++j) {
+          b[static_cast<std::size_t>(p * s.n + j)] =
+              (j % 2 == 0) ? kInf : -kInf;
+        }
+        for (std::int64_t i = 0; i < s.m; ++i) {
+          float& v = a[static_cast<std::size_t>(i * s.k + p)];
+          if (i % 3 == 1) {
+            v = 0.0F;
+          } else if (v == 0.0F) {
+            v = 1.0F;
+          }
+        }
       }
     }
     std::vector<float> bt(b.size());  // B^T, [n, k] row-major

@@ -2,14 +2,18 @@
 // capture, workload tracing, zoo construction and scale calibration.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "core/lp_format.h"
 #include "data/dataset.h"
 #include "formats/uniform_int.h"
 #include "nn/nodes.h"
 #include "nn/zoo.h"
+#include "tensor/ops.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace lp::nn {
 namespace {
@@ -147,6 +151,81 @@ TEST(Zoo, VitModelsBuildAndRun) {
     EXPECT_EQ(out.logits.dim(1), o.classes) << name;
     for (float v : out.logits.data()) EXPECT_TRUE(std::isfinite(v)) << name;
   }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Multi-head self-attention spelled out over the public ops, slicing each
+/// (sample, head) the long way — the sample's [t, d] token rows first,
+/// then the head's columns — as the node did before it copied the head's
+/// columns straight from the projections.  Every float op is the node's,
+/// so the two must agree bit for bit.
+Tensor attention_oracle(const Tensor& tokens, const std::array<Tensor, 4>& w,
+                        const std::array<Tensor, 4>& bias, int heads) {
+  const std::int64_t b = tokens.dim(0);
+  const std::int64_t t = tokens.dim(1);
+  const std::int64_t d = tokens.dim(2);
+  const std::int64_t dh = d / heads;
+  std::array<Tensor, 3> qkv;
+  for (std::size_t i = 0; i < 3; ++i) {
+    qkv[i] = matmul_nt(tokens, w[i], &bias[i]);
+  }
+  Tensor concat({b * t, d});
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (int h = 0; h < heads; ++h) {
+      const std::int64_t c0 = h * dh;
+      const auto slice = [&](const Tensor& m) {
+        Tensor rows({t, d});
+        std::copy_n(m.raw() + bi * t * d, t * d, rows.raw());
+        Tensor cols({t, dh});
+        for (std::int64_t ti = 0; ti < t; ++ti) {
+          std::copy_n(rows.raw() + ti * d + c0, dh, cols.raw() + ti * dh);
+        }
+        return cols;
+      };
+      Tensor scores = matmul_nt(slice(qkv[0]), slice(qkv[1]));
+      scale_inplace(scores, 1.0F / std::sqrt(static_cast<float>(dh)));
+      scores = softmax_lastdim(scores);
+      const Tensor o = matmul(scores, slice(qkv[2]));
+      for (std::int64_t ti = 0; ti < t; ++ti) {
+        std::copy_n(o.raw() + ti * dh, dh,
+                    concat.raw() + (bi * t + ti) * d + c0);
+      }
+    }
+  }
+  Tensor out = matmul_nt(concat, w[3], &bias[3]);
+  out.reshape({b, t, d});
+  return out;
+}
+
+TEST(Attention, HeadSlicesMatchTwoStepOracleAtEveryPoolWidth) {
+  constexpr int kDim = 24;
+  constexpr int kHeads = 3;
+  Rng rng(19);
+  std::array<Tensor, 4> w;
+  std::array<Tensor, 4> bias;
+  for (std::size_t i = 0; i < 4; ++i) {
+    w[i] = Tensor({kDim, kDim});
+    bias[i] = Tensor({kDim});
+    for (float& v : w[i].data()) v = static_cast<float>(rng.gaussian(0.0, 0.2));
+    for (float& v : bias[i].data()) v = static_cast<float>(rng.gaussian());
+  }
+  Tensor tokens({3, 7, kDim});
+  for (float& v : tokens.data()) v = static_cast<float>(rng.gaussian());
+  const Tensor want = attention_oracle(tokens, w, bias, kHeads);
+  const AttentionNode node(0, "attn", kDim, kHeads, w, bias, 0);
+  const NodeValue in(tokens);
+  const NodeValue* x[1] = {&in};
+  for (const int threads : {1, 3, 8}) {
+    set_default_pool_threads(threads);
+    EXPECT_TRUE(same_bits(node.run(x, RunCtx{}).dense(), want))
+        << "threads=" << threads;
+  }
+  set_default_pool_threads(0);
 }
 
 TEST(Zoo, UnknownModelThrows) {

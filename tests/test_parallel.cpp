@@ -176,6 +176,7 @@ TEST(PoolDeterminism, ForwardLogitsBitIdenticalAcrossThreadCounts) {
   o.classes = 16;
   const nn::Model cnn = nn::build_tiny_cnn(o);
   const nn::Model vit = nn::build_tiny_vit(o);
+  const nn::Model swin = nn::build_model("swin_t", o);  // windowed attention
   Tensor x({4, 3, 32, 32});
   Rng rng(7);
   for (float& v : x.data()) v = static_cast<float>(rng.gaussian());
@@ -183,11 +184,14 @@ TEST(PoolDeterminism, ForwardLogitsBitIdenticalAcrossThreadCounts) {
   set_default_pool_threads(1);
   const auto cnn1 = tensor_bits(cnn.forward(x).logits);
   const auto vit1 = tensor_bits(vit.forward(x).logits);
+  const auto swin1 = tensor_bits(swin.forward(x).logits);
   set_default_pool_threads(8);
   const auto cnn8 = tensor_bits(cnn.forward(x).logits);
   const auto vit8 = tensor_bits(vit.forward(x).logits);
+  const auto swin8 = tensor_bits(swin.forward(x).logits);
   EXPECT_EQ(cnn1, cnn8);
   EXPECT_EQ(vit1, vit8);
+  EXPECT_EQ(swin1, swin8);
 }
 
 TEST(PoolDeterminism, QuantizeBatchBitIdenticalAcrossThreadCounts) {
